@@ -4,12 +4,14 @@
 //  1. steady state — T tenants are created and calibrated, then N
 //     advise requests (N ≥ 1000 at full scale) are fired through W
 //     concurrent clients against a real TCP listener; the report
-//     carries p50/p99 request latency and aggregate req/s;
+//     carries p50/p99 request latency and aggregate req/s, and any
+//     non-2xx steady-state response fails the run;
 //  2. overload — a single-shard server with a tiny admission queue
-//     takes a synchronized burst far wider than the queue; the report
-//     carries the shed rate (typed 429 refusals / burst size),
-//     demonstrating that saturation degrades into fast typed sheds
-//     rather than unbounded queueing.
+//     takes a synchronized burst of journaled advance mutations far
+//     wider than the queue (reads never queue, so only mutations
+//     exercise admission control); the report carries the shed rate
+//     (typed 429 refusals / burst size), demonstrating that saturation
+//     degrades into fast typed sheds rather than unbounded queueing.
 //
 // Usage:
 //
@@ -156,7 +158,10 @@ func (b *bench) createTenant(id string, seed int64) error {
 	return nil
 }
 
-var adviseBody = map[string]any{"strategy": "rpca", "root": 0, "msg_bytes": 1048576}
+var (
+	adviseBody  = map[string]any{"strategy": "rpca", "root": 0, "msg_bytes": 1048576}
+	advanceBody = map[string]any{"dt": 1}
+)
 
 // runSteady fires total advise requests through conc workers and
 // reports latency quantiles and throughput.
@@ -216,7 +221,7 @@ func runSteady(ctx context.Context, tenants, total, conc int) (steadyReport, err
 }
 
 // runOverload slams one single-shard, depth-queue server with a
-// synchronized burst and counts the typed sheds.
+// synchronized burst of queued mutations and counts the typed sheds.
 func runOverload(ctx context.Context, burst, depth int) (overloadReport, error) {
 	b, err := startBench(ctx, serve.Config{Shards: 1, QueueDepth: depth}, burst)
 	if err != nil {
@@ -235,7 +240,7 @@ func runOverload(ctx context.Context, burst, depth int) (overloadReport, error) 
 		go func() {
 			defer wg.Done()
 			<-gate
-			status, err := b.do("POST", "/v1/tenants/burst/advise", adviseBody)
+			status, err := b.do("POST", "/v1/tenants/burst/advance", advanceBody)
 			switch {
 			case err != nil:
 				errs.Add(1)
@@ -320,5 +325,8 @@ func run() int {
 	fmt.Printf("overload: burst %d into queue %d: served %d, shed %d (rate %.2f), errors %d\n",
 		ov.Burst, ov.QueueDepth, ov.Served, ov.Shed, ov.ShedRate, ov.Errors)
 	fmt.Printf("wrote %s\n", *out)
+	if st.Errors > 0 {
+		return cli.Failf("servebench", "steady phase: %d of %d advise requests failed", st.Errors, st.Requests)
+	}
 	return cli.ExitOK
 }

@@ -75,11 +75,11 @@ type Advisor struct {
 	normE     float64              // Norm(N_E) from the bandwidth TP-matrix
 	health    CalibrationHealth    // measurement health of the last analysis
 
-	calibrations  int
-	totalCalCost  float64
-	lastCal       *cloud.TemporalCalibration
-	recalibraions int
-	recalibrator  func(ctx context.Context) error // optional maintenance hook (SetRecalibrator)
+	calibrations   int
+	totalCalCost   float64
+	lastCal        *cloud.TemporalCalibration
+	recalibrations int
+	recalibrator   func(ctx context.Context) error // optional maintenance hook (SetRecalibrator)
 
 	// Divergence regime tracking (Observe): EWMA of the relative
 	// actual-vs-expected difference and the current run length of
@@ -210,19 +210,14 @@ func (a *Advisor) Health() CalibrationHealth { return a.health }
 // Confidence is shorthand for Health().Confidence.
 func (a *Advisor) Confidence() Confidence { return a.health.Confidence }
 
-// EffectiveStrategy maps the requested strategy through the confidence
-// fallback ladder: RPCA degrades to Heuristics and then Baseline as the
-// calibration health drops, so a damaged calibration can never steer the
-// collective with a constant component it does not actually support.
-func (a *Advisor) EffectiveStrategy(s Strategy) Strategy {
-	return FallbackStrategy(s, a.health.Confidence)
-}
+// EffectiveStrategy is Guidance().EffectiveStrategy.
+func (a *Advisor) EffectiveStrategy(s Strategy) Strategy { return a.Guidance().EffectiveStrategy(s) }
 
 // Calibrations returns how many full calibrations have run.
 func (a *Advisor) Calibrations() int { return a.calibrations }
 
 // Recalibrations returns how many were triggered by the monitor.
-func (a *Advisor) Recalibrations() int { return a.recalibraions }
+func (a *Advisor) Recalibrations() int { return a.recalibrations }
 
 // CalibrationCost returns the cumulative cluster time spent calibrating.
 func (a *Advisor) CalibrationCost() float64 { return a.totalCalCost }
@@ -230,52 +225,17 @@ func (a *Advisor) CalibrationCost() float64 { return a.totalCalCost }
 // LastCalibration exposes the most recent temporal calibration.
 func (a *Advisor) LastCalibration() *cloud.TemporalCalibration { return a.lastCal }
 
-// GuidancePerf returns the performance matrix a strategy plans with (nil
-// for strategies that do not use measurements).
-func (a *Advisor) GuidancePerf(s Strategy) *netmodel.PerfMatrix {
-	switch s {
-	case RPCA:
-		return a.constant
-	case Heuristics:
-		return a.heuristic
-	default:
-		return nil
-	}
-}
+// GuidancePerf is Guidance().Perf.
+func (a *Advisor) GuidancePerf(s Strategy) *netmodel.PerfMatrix { return a.Guidance().Perf(s) }
 
-// PlanTree builds the communication tree a strategy would use for a
-// collective rooted at root with the given message size. dc and hosts are
-// only consulted by TopologyAware (and may be nil otherwise).
+// PlanTree is Guidance().PlanTree.
 func (a *Advisor) PlanTree(s Strategy, root int, msgBytes float64, dc *topo.Topology, hosts []int) *mpi.Tree {
-	n := a.cluster.Size()
-	if a.lastCal != nil {
-		s = a.EffectiveStrategy(s)
-	}
-	switch s {
-	case RPCA, Heuristics:
-		perf := a.GuidancePerf(s)
-		if perf == nil {
-			return mpi.BinomialTree(n, root)
-		}
-		return mpi.FNFTree(perf.Weights(msgBytes), root)
-	case TopologyAware:
-		if dc == nil || hosts == nil {
-			return mpi.BinomialTree(n, root)
-		}
-		return mpi.TopologyAwareTree(dc, hosts, root)
-	default:
-		return mpi.BinomialTree(n, root)
-	}
+	return a.Guidance().PlanTree(s, root, msgBytes, dc, hosts)
 }
 
-// ExpectedTime estimates the collective's duration under the constant
-// component — the expected performance t′ of Algorithm 1 line 5, using
-// the α-β model so it extends to any message size.
+// ExpectedTime is Guidance().ExpectedTime.
 func (a *Advisor) ExpectedTime(t *mpi.Tree, op mpi.Collective, msgBytes float64) float64 {
-	if a.constant == nil {
-		return math.NaN()
-	}
-	return mpi.RunCollective(mpi.NewAnalyticNet(a.constant), t, op, msgBytes)
+	return a.Guidance().ExpectedTime(t, op, msgBytes)
 }
 
 // Observe implements the maintenance check of Algorithm 1 lines 4–9:
@@ -305,7 +265,7 @@ func (a *Advisor) ObserveCtx(ctx context.Context, expected, actual float64) (boo
 	}
 	rel := math.Abs(actual-expected) / expected
 	if rel >= a.cfg.Threshold {
-		a.recalibraions++
+		a.recalibrations++
 		return true, a.recalibrate(ctx)
 	}
 	a.divEWMA = 0.3*rel + 0.7*a.divEWMA
@@ -318,7 +278,7 @@ func (a *Advisor) ObserveCtx(ctx context.Context, expected, actual float64) (boo
 		if a.stream != nil {
 			return true, a.PartialResolve()
 		}
-		a.recalibraions++
+		a.recalibrations++
 		return true, a.recalibrate(ctx)
 	}
 	return false, nil

@@ -228,9 +228,9 @@ func TestServerQuarantineIsolation(t *testing.T) {
 	}
 }
 
-// TestServerSheddingAndDeadline: a wedged shard sheds excess load with
-// the typed 429 and returns typed deadline errors to bounded requests,
-// instead of queueing unboundedly.
+// TestServerSheddingAndDeadline: a wedged shard sheds excess mutations
+// with the typed 429 instead of queueing unboundedly, while reads —
+// served from the last published view — keep answering byte-identically.
 func TestServerSheddingAndDeadline(t *testing.T) {
 	ctx, done := context.WithCancel(context.Background())
 	defer done()
@@ -241,6 +241,13 @@ func TestServerSheddingAndDeadline(t *testing.T) {
 
 	code, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/alpha", testTenantBody(7))
 	mustStatus(t, http.StatusCreated, code, body)
+	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/calibrate", "")
+	mustStatus(t, http.StatusOK, code, body)
+	const adviseReq = `{"strategy":"rpca","root":1,"msg_bytes":65536}`
+	code, statusBefore := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
+	mustStatus(t, http.StatusOK, code, statusBefore)
+	code, adviseBefore := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/advise", adviseReq)
+	mustStatus(t, http.StatusOK, code, adviseBefore)
 
 	// Wedge the only shard. The release defer is registered after the
 	// Close defers, so it runs first and a test failure can never leave
@@ -259,18 +266,30 @@ func TestServerSheddingAndDeadline(t *testing.T) {
 	go s.shards[0].submit(context.Background(), func(context.Context) error { return nil })
 	waitFor(t, func() bool { return len(s.shards[0].ch) == 1 })
 
-	// Next request is shed with the typed 429.
-	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
+	// The next mutation is shed with the typed 429.
+	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/advance", `{"dt":1}`)
 	mustStatus(t, http.StatusTooManyRequests, code, body)
 	var eb errorBody
 	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "overloaded" {
 		t.Fatalf("shed response not typed: %s", body)
 	}
+	// Reads never queue: the wedged shard still answers status and
+	// advise, byte-identical to their pre-wedge bodies.
+	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
+	mustStatus(t, http.StatusOK, code, body)
+	if body != statusBefore {
+		t.Fatalf("status changed while wedged:\nbefore: %s\nduring: %s", statusBefore, body)
+	}
+	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/advise", adviseReq)
+	mustStatus(t, http.StatusOK, code, body)
+	if body != adviseBefore {
+		t.Fatalf("advise changed while wedged:\nbefore: %s\nduring: %s", adviseBefore, body)
+	}
 	releaseOnce()
 
-	// After release the shard drains and serves again.
+	// After release the shard drains and accepts mutations again.
 	waitFor(t, func() bool {
-		code, _ := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
+		code, _ := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/advance", `{"dt":1}`)
 		return code == http.StatusOK
 	})
 	// The shed counter moved and is visible in /healthz.
@@ -320,7 +339,7 @@ func TestServerDeadlineOnSlowMutation(t *testing.T) {
 		return nil
 	})
 	<-blocked
-	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha?timeout_ms=50", "")
+	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/advance?timeout_ms=50", `{"dt":1}`)
 	mustStatus(t, http.StatusGatewayTimeout, code, body)
 	var eb errorBody
 	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "deadline" {

@@ -175,6 +175,15 @@ func (s *Server) quarantineReason(id string) (string, bool) {
 	return reason, ok
 }
 
+// absent is the refusal for a tenant with no live state: quarantined
+// (410) if its journal was damaged, not found (404) otherwise.
+func (s *Server) absent(id string) error {
+	if reason, ok := s.quarantineReason(id); ok {
+		return wrapf(errQuarantined, "%s: %s", id, reason)
+	}
+	return wrapf(errNotFound, "%s", id)
+}
+
 // Quarantined returns the sorted quarantined tenant IDs.
 func (s *Server) Quarantined() []string {
 	s.qmu.Lock()
@@ -251,17 +260,27 @@ func (s *Server) routes() {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// requestCtx derives the per-request deadline: ?timeout_ms wins,
-// DefaultTimeout otherwise, unbounded when both are absent.
+// requestTimeout is the per-request deadline: ?timeout_ms wins,
+// DefaultTimeout otherwise, unbounded (0) when both are absent. Reads
+// validate it too, though they never wait on a queue.
+func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
+	v := r.URL.Query().Get("timeout_ms")
+	if v == "" {
+		return s.cfg.DefaultTimeout, nil
+	}
+	ms, err := strconv.Atoi(v)
+	if err != nil || ms <= 0 {
+		return 0, errf("timeout_ms must be a positive integer, got %q", v)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// requestCtx derives the request's context under requestTimeout.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	ctx := r.Context()
-	d := s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms <= 0 {
-			return nil, nil, errf("timeout_ms must be a positive integer, got %q", v)
-		}
-		d = time.Duration(ms) * time.Millisecond
+	d, err := s.requestTimeout(r)
+	if err != nil {
+		return nil, nil, err
 	}
 	if d > 0 {
 		ctx, cancelCtx := context.WithTimeout(ctx, d)
@@ -296,13 +315,14 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // mutate submits a journaled mutation to the tenant's shard: apply,
-// then journal, then ack. An apply error that may have left partial
-// state rebuilds the tenant from its journal before the error returns,
-// so no half-applied mutation survives into later requests.
-func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, uint64, error) {
+// then journal, then publish the tenant's new view, then ack. An apply
+// error that may have left partial state rebuilds the tenant from its
+// journal before the error returns, so no half-applied mutation
+// survives into later requests.
+func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, *view, error) {
 	sh := s.shardFor(id)
 	var res opResult
-	var seq uint64
+	var v *view
 	err := sh.submit(ctx, func(ctx context.Context) error {
 		t, err := sh.tenantFor(id)
 		if err != nil {
@@ -323,23 +343,11 @@ func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, uint64,
 		}
 		sh.mutations.Add(1)
 		sh.updateTail()
-		res, seq = r, t.store.Seq()
+		r.Seq = t.store.Seq()
+		res, v = r, sh.publish(t)
 		return nil
 	})
-	return res, seq, err
-}
-
-// inspect submits a read-only task to the tenant's shard (reads are
-// serialized with mutations by the single-writer loop, not locks).
-func (s *Server) inspect(ctx context.Context, id string, fn func(t *tenant) error) error {
-	sh := s.shardFor(id)
-	return sh.submit(ctx, func(context.Context) error {
-		t, err := sh.tenantFor(id)
-		if err != nil {
-			return err
-		}
-		return fn(t)
-	})
+	return res, v, err
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -364,7 +372,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 	sh := s.shardFor(id)
-	var status StatusResponse
+	var v *view
 	err = sh.submit(ctx, func(ctx context.Context) error {
 		if reason, quarantined := s.quarantineReason(id); quarantined {
 			return wrapf(errQuarantined, "%s: %s", id, reason)
@@ -388,38 +396,34 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			os.Remove(s.snapPath(id))
 			return err
 		}
-		sh.install(t)
+		v = sh.install(t)
 		sh.mutations.Add(1)
-		status = t.status()
 		return nil
 	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, status)
+	writeBody(w, http.StatusCreated, v.status)
 }
 
+// handleStatus serves the tenant's status from its published view,
+// without entering the shard queue.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	ctx, done, err := s.requestCtx(r)
+	if _, err := s.requestTimeout(r); err != nil {
+		writeError(w, err)
+		return
+	}
+	v, err := s.view(id)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer done()
-	var status StatusResponse
-	if err := s.inspect(ctx, id, func(t *tenant) error {
-		status = t.status()
-		return nil
-	}); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, status)
+	writeBody(w, http.StatusOK, v.status)
 }
 
 // opHandler builds the POST handler for a journaled mutation whose
@@ -441,19 +445,12 @@ func (s *Server) opHandler(parse func(r *http.Request) (op, error)) http.Handler
 			return
 		}
 		defer done()
-		if _, _, err := s.mutate(ctx, id, o); err != nil {
+		_, v, err := s.mutate(ctx, id, o)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		var status StatusResponse
-		if err := s.inspect(ctx, id, func(t *tenant) error {
-			status = t.status()
-			return nil
-		}); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, status)
+		writeBody(w, http.StatusOK, v.status)
 	}
 }
 
@@ -473,14 +470,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	res, seq, err := s.mutate(ctx, id, op{Kind: opObserve, Expected: req.Expected, Actual: req.Actual})
+	res, _, err := s.mutate(ctx, id, op{Kind: opObserve, Expected: req.Expected, Actual: req.Actual})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ObserveResponse{Tenant: id, Triggered: res.Triggered, Seq: seq})
+	writeJSON(w, http.StatusOK, ObserveResponse{Tenant: id, Triggered: res.Triggered, Seq: res.Seq})
 }
 
+// handleAdvise answers from the tenant's published view, without
+// entering the shard queue.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.admit(w, r)
 	if !ok {
@@ -491,22 +490,21 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, done, err := s.requestCtx(r)
+	if _, err := s.requestTimeout(r); err != nil {
+		writeError(w, err)
+		return
+	}
+	v, err := s.view(id)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer done()
-	var resp AdviseResponse
-	if err := s.inspect(ctx, id, func(t *tenant) error {
-		var err error
-		resp, err = t.advise(req)
-		return err
-	}); err != nil {
+	body, err := v.advise(req)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

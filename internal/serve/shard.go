@@ -1,10 +1,12 @@
 package serve
 
 // Sharding and admission control. Tenants hash onto N shards; each shard
-// is a single-writer goroutine draining a bounded queue, so all access to
-// a tenant's advisor is serialized without per-tenant locks, and overload
-// becomes a typed shed at the queue instead of unbounded goroutine and
-// memory growth. The waiter keeps its own deadline: a request whose
+// is a single-writer goroutine draining a bounded queue, so every access
+// to a tenant's advisor is serialized without per-tenant locks, and
+// overload of creates and mutations becomes a typed shed at the queue
+// instead of unbounded goroutine and memory growth. Reads never queue:
+// they load the view the shard published after the last state change
+// (view.go). The waiter keeps its own deadline: a request whose
 // context ends while queued (or while running) returns a typed
 // cancellation immediately — the shard discovers queued-but-dead tasks
 // at dequeue and skips their work.
@@ -41,6 +43,10 @@ type shard struct {
 	// tenants is owned by the shard goroutine (and by startup loading,
 	// which runs before the goroutine starts).
 	tenants map[string]*tenant
+	// views maps tenant id → *atomic.Pointer[view]: the read views the
+	// shard goroutine publishes (view.go) and handlers load without
+	// entering the queue.
+	views sync.Map
 
 	served    atomic.Int64
 	shed      atomic.Int64
@@ -126,23 +132,23 @@ func (sh *shard) tenantFor(id string) (*tenant, error) {
 	if t, ok := sh.tenants[id]; ok {
 		return t, nil
 	}
-	if reason, ok := sh.srv.quarantineReason(id); ok {
-		return nil, wrapf(errQuarantined, "%s: %s", id, reason)
-	}
-	return nil, wrapf(errNotFound, "%s", id)
+	return nil, sh.srv.absent(id)
 }
 
-// install registers a tenant (startup load or create op) and refreshes
-// the shard gauges.
-func (sh *shard) install(t *tenant) {
+// install registers a tenant (startup load or create op), publishes its
+// first view, and refreshes the shard gauges.
+func (sh *shard) install(t *tenant) *view {
 	sh.tenants[t.id] = t
 	sh.tenantN.Store(int64(len(sh.tenants)))
 	sh.updateTail()
+	return sh.publish(t)
 }
 
-// drop removes a tenant (quarantine) and refreshes the gauges.
+// drop removes a tenant (quarantine), withdraws its view, and refreshes
+// the gauges.
 func (sh *shard) drop(id string) {
 	delete(sh.tenants, id)
+	sh.views.Delete(id)
 	sh.tenantN.Store(int64(len(sh.tenants)))
 	sh.updateTail()
 }
@@ -164,11 +170,14 @@ func (sh *shard) rebuild(t *tenant) {
 	fresh, err := rebuildTenant(sh.srv, t.id, t.store)
 	if err != nil {
 		t.store.Close()
-		sh.drop(t.id)
+		// Quarantine before withdrawing the view, so a concurrent reader
+		// sees the typed 410, never a transient 404.
 		sh.srv.quarantine(t.id, err)
+		sh.drop(t.id)
 		return
 	}
 	sh.tenants[t.id] = fresh
+	sh.publish(fresh)
 }
 
 // shardIndex maps a tenant ID onto its shard by provenance-key hash.

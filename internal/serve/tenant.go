@@ -19,7 +19,6 @@ import (
 	"netconstant/internal/checkpoint"
 	"netconstant/internal/cloud"
 	"netconstant/internal/core"
-	"netconstant/internal/mpi"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
@@ -53,7 +52,8 @@ type op struct {
 
 // opResult carries the per-op response payload back to the handler.
 type opResult struct {
-	Triggered bool // observe: maintenance fired
+	Triggered bool   // observe: maintenance fired
+	Seq       uint64 // the tenant's journal sequence after the op
 }
 
 type tenant struct {
@@ -271,48 +271,4 @@ func (t *tenant) status() StatusResponse {
 		RetryExhaustion: h.RetryExhaustion,
 		Streaming:       t.adv.StreamingActive(),
 	}
-}
-
-// advise plans a tree under the requested strategy and wraps it in the
-// degraded-mode envelope. Degradation is an answer, not an error: when
-// calibration health demotes the strategy down the
-// RPCA→Heuristics→Baseline ladder (or no calibration exists yet), the
-// response says so and carries the tree the surviving strategy builds.
-func (t *tenant) advise(req AdviseRequest) (AdviseResponse, error) {
-	requested, err := parseStrategy(req.Strategy)
-	if err != nil {
-		return AdviseResponse{}, err
-	}
-	n := t.cfg.VMs
-	if req.Root < 0 || req.Root >= n {
-		return AdviseResponse{}, errf("root %d outside %d-VM cluster", req.Root, n)
-	}
-	if req.MsgBytes <= 0 || math.IsNaN(req.MsgBytes) {
-		return AdviseResponse{}, errf("msg_bytes must be a positive number, got %v", req.MsgBytes)
-	}
-	effective := requested
-	if t.adv.LastCalibration() == nil {
-		// No guidance at all: the ladder bottoms out at Baseline.
-		effective = core.Baseline
-	} else {
-		effective = t.adv.EffectiveStrategy(requested)
-	}
-	tree := t.adv.PlanTree(requested, req.Root, req.MsgBytes, nil, nil)
-	exp := t.adv.ExpectedTime(tree, mpi.Broadcast, req.MsgBytes)
-	if math.IsNaN(exp) {
-		exp = 0 // no calibration yet — JSON has no NaN, and 0 is unambiguous with Degraded set
-	}
-	return AdviseResponse{
-		Tenant:        t.id,
-		Requested:     wireStrategy(requested),
-		Effective:     wireStrategy(effective),
-		Degraded:      effective != requested,
-		Confidence:    t.adv.Confidence().String(),
-		Effectiveness: t.adv.Effectiveness().String(),
-		NormE:         t.adv.NormE(),
-		Root:          req.Root,
-		Parent:        tree.Parent,
-		Depth:         tree.Depth(),
-		ExpectedSec:   exp,
-	}, nil
 }

@@ -234,18 +234,31 @@ func wireStrategy(s core.Strategy) string {
 	return "unknown"
 }
 
-// writeJSON writes v with a trailing newline. Marshal of the fixed-field
-// response structs cannot fail; a failure here is a programming error
-// surfaced as a 500.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeBody marshals a response struct with the trailing newline the
+// wire carries; nil means the value could not be encoded (a non-finite
+// float), which writeBody answers with the typed 500.
+func encodeBody(v any) []byte {
 	buf, err := json.Marshal(v)
 	if err != nil {
+		return nil
+	}
+	return append(buf, '\n')
+}
+
+// writeJSON writes v with a trailing newline.
+func writeJSON(w http.ResponseWriter, status int, v any) { writeBody(w, status, encodeBody(v)) }
+
+// writeBody writes a body from encodeBody. Marshal of the fixed-field
+// response structs fails only on a non-finite float; a nil body is
+// surfaced as a 500.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	if body == nil {
 		http.Error(w, `{"code":"internal","error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // writeError maps an error to its HTTP status and wire code. The order
