@@ -12,7 +12,7 @@ import (
 // internal/exp, internal/simnet, internal/cloud and internal/rpca it
 // forbids the three ways scheduling or process state can leak into output:
 //
-//   - wall clock: time.Now / time.Since (timing belongs in cmd/*bench, or
+//   - wall clock: time.Now / time.Since (timing belongs in perfbench, or
 //     behind an injected clock like exp.Config.Clock);
 //   - process-global randomness: package-level math/rand and math/rand/v2
 //     functions, which draw from a shared stream in goroutine-arrival
@@ -140,7 +140,7 @@ func (c *detChecker) checkCall(call *ast.CallExpr) {
 		case "time":
 			if fn == "Now" || fn == "Since" {
 				c.pass.Reportf(call.Pos(),
-					"wall-clock time.%s in deterministic package %s: timing belongs in cmd/*bench or behind an injected clock",
+					"wall-clock time.%s in deterministic package %s: timing belongs in perfbench or behind an injected clock",
 					fn, c.pass.Pkg.Path())
 			}
 		case "math/rand", "math/rand/v2":

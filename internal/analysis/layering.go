@@ -106,11 +106,7 @@ var layeringAllowed = map[string][]string{
 	"cmd/netconstant":  {"internal/cli", "internal/cloud", "internal/core", "internal/faults", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 	"cmd/netconstantd": {"internal/cli", "internal/serve"},
 	"cmd/netlint":      {"internal/analysis", "internal/cli"},
-	"cmd/rpcabench":    {"internal/cli", "internal/mat", "internal/rpca"},
-	"cmd/servebench":   {"internal/cli", "internal/serve", "internal/stats"},
-	"cmd/simbench":     {"internal/cancel", "internal/cli", "internal/cloud", "internal/exp", "internal/mat", "internal/simnet", "internal/topo"},
 	"cmd/simcluster":   {"internal/cli", "internal/cloud", "internal/core", "internal/mapping", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
-	"cmd/streambench":  {"internal/cli", "internal/mat", "internal/rpca"},
 }
 
 // layerNormalize reduces an import path to its table key: the suffix

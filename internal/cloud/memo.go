@@ -234,6 +234,10 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 		return tc, nil
 	}
 	if call, ok := m.inflight[key]; ok {
+		// Joining an in-flight computation is served by the cache's
+		// single measurement, so it counts as a hit: hits + misses is
+		// the number of lookups at any worker count.
+		m.hits++
 		m.mu.Unlock()
 		select {
 		case <-call.done:

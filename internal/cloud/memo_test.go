@@ -101,6 +101,11 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("computed %d times under concurrency, want 1", computes)
 	}
+	// Every request but the computing one was served by it, whether it
+	// joined the computation in flight or found the cached entry.
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 7 {
+		t.Fatalf("stats %d hits / %d misses, want 7 / 1", st.Hits, st.Misses)
+	}
 }
 
 // TestMemoInvalidate: invalidation forces a fresh computation; errors are

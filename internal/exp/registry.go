@@ -10,7 +10,7 @@ type Figure struct {
 }
 
 // Figures returns the full experiment registry in presentation order. The
-// drivers (cmd/expdriver, cmd/simbench) iterate this list rather than
+// drivers (cmd/expdriver, perfbench) iterate this list rather than
 // hard-coding their own.
 func Figures() []Figure {
 	return []Figure{

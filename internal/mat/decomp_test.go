@@ -84,8 +84,8 @@ func TestSVDReconstructionAllShapes(t *testing.T) {
 		a := randMat(rng, sh[0], sh[1])
 		for name, svd := range map[string]*SVDResult{
 			"auto":   a.SVD(),
-			"jacobi": a.SVDJacobi(),
-			"gram":   a.SVDGram(),
+			"jacobi": a.svdJacobi(),
+			"gram":   a.svdGram(),
 		} {
 			rec := svd.Reconstruct(-1)
 			diff := rec.Sub(a).NormFrobenius() / math.Max(1, a.NormFrobenius())
@@ -350,4 +350,20 @@ func TestSpectralNormClustered(t *testing.T) {
 	if err := math.Abs(a.NormSpectral() - sv[0]); err > 1e-9*sv[0] {
 		t.Fatalf("spectral norm off by %.3e (σ1=%v σ2=%v)", err, sv[0], sv[1])
 	}
+}
+
+// BenchmarkAblationSVDRoute compares the Gram-matrix thin-SVD route
+// against one-sided Jacobi on a fat TP-matrix-shaped input.
+func BenchmarkAblationSVDRoute(b *testing.B) {
+	a := RandomNormal(rand.New(rand.NewSource(9)), 10, 32*32, 50e6, 5e6)
+	b.Run("gram", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.svdGram()
+		}
+	})
+	b.Run("jacobi", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.svdJacobi()
+		}
+	})
 }

@@ -82,7 +82,7 @@ func TestParallelKernelsByteIdentical(t *testing.T) {
 			res.soft = a.SoftThreshold(0.4)
 			res.mv = a.MulVec(x)
 			res.mtv = a.MulTVec(y)
-			res.svd = bt.SVDJacobi() // tall matrix exercises the pair rounds
+			res.svd = bt.svdJacobi() // tall matrix exercises the pair rounds
 			return res
 		}
 

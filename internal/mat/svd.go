@@ -63,13 +63,6 @@ func (m *Dense) SVD() *SVDResult {
 	return m.svdJacobi()
 }
 
-// SVDGram forces the Gram-matrix route (exported for the ablation bench).
-func (m *Dense) SVDGram() *SVDResult { return m.svdGram() }
-
-// SVDJacobi forces the one-sided Jacobi route (exported for the ablation
-// bench).
-func (m *Dense) SVDJacobi() *SVDResult { return m.svdJacobi() }
-
 // svdGram computes the thin SVD via eigendecomposition of the smaller Gram
 // matrix. For r <= c: A·Aᵀ = U Λ Uᵀ, σ = sqrt(λ), V = Aᵀ U Σ⁻¹.
 func (m *Dense) svdGram() *SVDResult {

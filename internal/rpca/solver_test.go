@@ -33,7 +33,8 @@ func syntheticTP(rng *rand.Rand, r, c, rank int, spikeFrac float64) *mat.Dense {
 // TestSolverMatchesPackageFunctions pins the arena solver to the
 // package-level entry points (which are themselves arena-backed now, so
 // this is a reuse-vs-fresh consistency check: a recycled Solver must give
-// the same answers as a throwaway one).
+// the same answers as a throwaway one), and both to the full-SVT
+// reference solver within the repo's 1e-10 agreement bound.
 func TestSolverMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver()
@@ -54,6 +55,19 @@ func TestSolverMatchesPackageFunctions(t *testing.T) {
 		}
 		if d := mat.NormFroDiff(fresh.D, reused.D); d != 0 {
 			t.Fatalf("trial %d: reused solver D deviates by %g", trial, d)
+		}
+		ref, err := decomposeFullSVT(a, Options{MaxIter: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range []struct {
+			name     string
+			got, ref *mat.Dense
+		}{{"D", reused.D, ref.D}, {"E", reused.E, ref.E}} {
+			rel := mat.NormFroDiff(part.got, part.ref) / math.Max(1, part.ref.NormFrobenius())
+			if !(rel <= 1e-10) { // also fails on NaN
+				t.Fatalf("trial %d: arena %s deviates from the full-SVT reference by %g relative", trial, part.name, rel)
+			}
 		}
 
 		freshI, err := DecomposeIALM(a, IALMOptions{MaxIter: 120})

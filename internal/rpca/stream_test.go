@@ -38,37 +38,69 @@ func streamTrace(seed int64, r, c, rank int, spikeFrac float64) (*mat.Dense, [][
 // after seeding, appending the rest of a 196-pair trace column-by-column
 // and resolving, the streaming state must agree with a cold batch IALM on
 // the identical matrix within 1e-10 relative error — with rows ≥ 16 so the
-// warm truncated SVT route actually serves the resolves.
+// warm truncated SVT route actually serves the resolves. The second case
+// is the CI stream-oracle gate: a warm resolve every 16 columns and the
+// oracle run every tail/6 columns as well as at the end, so agreement is
+// checked along the whole trajectory, not only at its last column.
 func TestStreamingAgreesWithBatch(t *testing.T) {
-	seedM, rest := streamTrace(7, 24, 196, 3, 0.05)
-	s, err := NewStreamingSolver(24, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name         string
+		seed         int64
+		resolveEvery int
+		checks       int // oracle checkpoints over the tail; 0 = end only
+	}{
+		{"end-only", 7, 0, 0},
+		{"gate", 1, 16, 6},
 	}
-	if err := s.Seed(seedM); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range rest {
-		if err := s.AppendColumn(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ag, err := s.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ag.RelFroD > 1e-10 || ag.RelFroE > 1e-10 {
-		t.Fatalf("streaming vs batch disagreement: D %.3e, E %.3e (want <= 1e-10)", ag.RelFroD, ag.RelFroE)
-	}
-	if ag.ConstantRel > 1e-10 {
-		t.Fatalf("constant-row disagreement %.3e (want <= 1e-10)", ag.ConstantRel)
-	}
-	st := s.Stats()
-	if st.TruncSVDs == 0 {
-		t.Fatal("warm truncated SVT route never engaged — streaming ran cold")
-	}
-	if st.Columns != 196 {
-		t.Fatalf("columns = %d, want 196", st.Columns)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seedM, rest := streamTrace(tc.seed, 24, 196, 3, 0.05)
+			s, err := NewStreamingSolver(24, StreamOptions{ResolveEvery: tc.resolveEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Seed(seedM); err != nil {
+				t.Fatal(err)
+			}
+			every := len(rest)
+			if tc.checks > 0 {
+				every = max(1, len(rest)/tc.checks)
+			}
+			verified := 0
+			verify := func(at int) {
+				ag, err := s.Verify()
+				if err != nil {
+					t.Fatal(err)
+				}
+				verified++
+				// Negated comparisons so a NaN disagreement fails too.
+				if !(ag.RelFroD <= 1e-10) || !(ag.RelFroE <= 1e-10) {
+					t.Fatalf("column %d: streaming vs batch disagreement: D %.3e, E %.3e (want <= 1e-10)", at, ag.RelFroD, ag.RelFroE)
+				}
+				if !(ag.ConstantRel <= 1e-10) {
+					t.Fatalf("column %d: constant-row disagreement %.3e (want <= 1e-10)", at, ag.ConstantRel)
+				}
+			}
+			for k, col := range rest {
+				if err := s.AppendColumn(col); err != nil {
+					t.Fatal(err)
+				}
+				if done := k + 1; done%every == 0 && done != len(rest) {
+					verify(done)
+				}
+			}
+			verify(len(rest))
+			if want := tc.checks + 1; tc.checks > 0 && verified != want {
+				t.Fatalf("ran the oracle %d times, want %d", verified, want)
+			}
+			st := s.Stats()
+			if st.TruncSVDs == 0 {
+				t.Fatal("warm truncated SVT route never engaged — streaming ran cold")
+			}
+			if st.Columns != 196 {
+				t.Fatalf("columns = %d, want 196", st.Columns)
+			}
+		})
 	}
 }
 
