@@ -4,6 +4,7 @@
 package netconstant_test
 
 import (
+	"context"
 	"testing"
 
 	"netconstant/internal/cloud"
@@ -137,7 +138,10 @@ func BenchmarkAblationPairing(b *testing.B) {
 			var cost float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cal := cloud.Calibrate(vc, rng, cloud.CalibrationConfig{Sequential: seq})
+				cal, err := cloud.CalibrateCtx(context.Background(), vc, rng, cloud.CalibrationConfig{Sequential: seq})
+				if err != nil {
+					b.Fatal(err)
+				}
 				cost = cal.Cost
 			}
 			b.ReportMetric(cost, "cluster-s")

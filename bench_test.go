@@ -11,6 +11,7 @@
 package netconstant_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -239,7 +240,8 @@ func BenchmarkSimnetFlows(b *testing.B) {
 		for k := 0; k < 64; k++ {
 			s.StartFlow(srv[k%len(srv)], srv[(k*7+1)%len(srv)], 1<<20, nil)
 		}
-		s.Eng.Run()
+		for s.Eng.Step() {
+		}
 	}
 }
 
@@ -252,7 +254,9 @@ func BenchmarkCalibrate64(b *testing.B) {
 	rng := stats.NewRNG(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloud.Calibrate(vc, rng, cloud.CalibrationConfig{})
+		if _, err := cloud.CalibrateCtx(context.Background(), vc, rng, cloud.CalibrationConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

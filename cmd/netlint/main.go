@@ -86,9 +86,9 @@ func run() int {
 		patterns = []string{"./..."}
 	}
 
-	// LoadDeps rather than Load: facts must be computed for every
-	// dependency before its dependents are analyzed, even when the
-	// patterns name a single leaf-most package.
+	// LoadDeps: facts must be computed for every dependency before its
+	// dependents are analyzed, even when the patterns name a single
+	// leaf-most package.
 	loader := &analysis.Loader{}
 	pkgs, err := loader.LoadDeps(patterns...)
 	if err != nil {

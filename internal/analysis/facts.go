@@ -64,9 +64,7 @@ func (s *factStore) imports(obj types.Object, f Fact) bool {
 
 // ExportObjectFact records fact about obj for consumption by later
 // passes in the same Session (including passes over downstream
-// packages). fact must be a pointer to a struct. Outside a Session
-// (the legacy package-level Run) facts are stored per-call and vanish
-// with the pass — fixture tests that need propagation use a Session.
+// packages). fact must be a pointer to a struct.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil || obj == nil {
 		return
@@ -101,16 +99,16 @@ func NewSession() *Session {
 	return &Session{facts: newFactStore()}
 }
 
-// Run applies each analyzer to pkg exactly like the package-level Run,
-// with two additions: passes see the session's shared fact store, and
-// an allow comment that names an analyzer in this run yet suppresses
-// nothing is itself reported (a decorative suppression hides nothing
-// today and will silently hide a regression tomorrow).
+// Run applies each analyzer to pkg, its passes sharing the session's
+// fact store, and returns the surviving diagnostics sorted by position.
+// Findings suppressed by a well-formed `//netlint:allow <analyzer>
+// <reason>` comment (same line or the line immediately above) are
+// dropped. Malformed or unknown-analyzer allow comments are themselves
+// reported as AllowAnalyzerName findings, and so is an allow that names
+// an analyzer in this run yet suppresses nothing (a decorative
+// suppression hides nothing today and will silently hide a regression
+// tomorrow).
 func (s *Session) Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runWithFacts(pkg, analyzers, s.facts)
-}
-
-func runWithFacts(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -119,7 +117,7 @@ func runWithFacts(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diag
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			facts:     facts,
+			facts:     s.facts,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)

@@ -35,7 +35,7 @@ type Package struct {
 // loaded through one Loader share a FileSet and an importer, so a
 // dependency is type-checked at most once per Loader.
 //
-// Every package the Loader itself checks — via Load, LoadDeps, or
+// Every package the Loader itself checks — via LoadDeps or
 // CheckDir — is registered in an internal cache that the importer
 // consults first. Two things follow. First, a module-internal package is
 // type-checked exactly once, and the *types.Package a dependent sees for
@@ -196,25 +196,16 @@ func topoSortPackages(metas []goListPkg) ([]goListPkg, error) {
 	return out, nil
 }
 
-// Load expands the go-list patterns (e.g. "./...") and returns the
-// matched packages, parsed with comments and fully type-checked, in
-// dependency order (a package follows everything it imports from the
-// same result set). Test files are excluded: the invariants netlint
-// enforces are about shipped code, and tests legitimately compare floats
-// exactly or measure wall-clock time.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	metas, err := l.goList(nil, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return l.checkMetas(metas, nil)
-}
-
-// LoadDeps is Load plus the transitive module-internal dependencies of
-// the matched packages: every non-standard-library dependency is loaded
-// and returned too, marked DepOnly, so analyzers that consume facts see
-// every definer before its users even when the patterns name a single
-// package. Standard-library packages are never analyzed.
+// LoadDeps expands the go-list patterns (e.g. "./...") and returns the
+// matched packages, parsed with comments and fully type-checked, together
+// with their transitive module-internal dependencies, in dependency order
+// (a package follows everything it imports from the same result set).
+// Every non-standard-library dependency is loaded and returned too,
+// marked DepOnly, so analyzers that consume facts see every definer
+// before its users even when the patterns name a single package.
+// Standard-library packages are never analyzed. Test files are excluded:
+// the invariants netlint enforces are about shipped code, and tests
+// legitimately compare floats exactly or measure wall-clock time.
 func (l *Loader) LoadDeps(patterns ...string) ([]*Package, error) {
 	requested, err := l.goList(nil, patterns)
 	if err != nil {
@@ -237,8 +228,8 @@ func (l *Loader) LoadDeps(patterns ...string) ([]*Package, error) {
 	return l.checkMetas(kept, want)
 }
 
-// checkMetas topo-sorts metas and type-checks each in order. requested,
-// when non-nil, marks every package not in it DepOnly.
+// checkMetas topo-sorts metas and type-checks each in order, marking
+// every package not in requested DepOnly.
 func (l *Loader) checkMetas(metas []goListPkg, requested map[string]bool) ([]*Package, error) {
 	l.init()
 	ordered, err := topoSortPackages(metas)
@@ -258,7 +249,7 @@ func (l *Loader) checkMetas(metas []goListPkg, requested map[string]bool) ([]*Pa
 		if err != nil {
 			return nil, err
 		}
-		pkg.DepOnly = requested != nil && !requested[m.ImportPath]
+		pkg.DepOnly = !requested[m.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -295,7 +286,7 @@ func (l *Loader) CheckDir(dir, pkgPath string) (*Package, error) {
 func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error) {
 	if p, ok := l.pkgCache[pkgPath]; ok && p.Dir == dir {
 		// Already checked through this Loader (e.g. listed by two
-		// overlapping patterns, or LoadDeps after Load). Re-checking
+		// overlapping patterns, or CheckDir after LoadDeps). Re-checking
 		// would mint a second *types.Package and split object identity.
 		return p, nil
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestLoaderLoad(t *testing.T) {
 	l := &analysis.Loader{}
-	pkgs, err := l.Load("netconstant/internal/stats")
+	pkgs, err := l.LoadDeps("netconstant/internal/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestAllowMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, analysis.All())
+	diags, err := analysis.NewSession().Run(pkg, analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,14 @@ func TestCalibrateTPCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCalibrateBackgroundUnchanged: the ctx-less wrappers must still
-// return complete traces (byte-compatible with the pre-context code).
+// TestCalibrateBackgroundUnchanged: a calibration under a context that
+// never ends, and the ctx-less CalibrateTP wrapper, must still return
+// complete traces (byte-compatible with the pre-context code).
 func TestCalibrateBackgroundUnchanged(t *testing.T) {
 	vc := cancelTestCluster(t)
-	cal := Calibrate(vc, stats.NewRNG(1), CalibrationConfig{})
-	if cal == nil || cal.Rounds == 0 {
-		t.Fatal("Calibrate returned no trace")
+	cal, err := CalibrateCtx(context.Background(), vc, stats.NewRNG(1), CalibrationConfig{})
+	if err != nil || cal == nil || cal.Rounds == 0 {
+		t.Fatalf("CalibrateCtx returned no trace: %v", err)
 	}
 	vc2 := cancelTestCluster(t)
 	tc := CalibrateTP(vc2, stats.NewRNG(1), 2, 60, CalibrationConfig{})
@@ -114,7 +115,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 	if err := <-ownerDone; err != nil {
 		t.Fatalf("owner err: %v", err)
 	}
-	if got := m.Get(key); got == nil {
+	if got := cachedTrace(m, key); got == nil {
 		t.Error("computation was not cached after waiter abandonment")
 	}
 }

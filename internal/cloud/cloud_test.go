@@ -2,13 +2,25 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"netconstant/internal/netmodel"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
+
+// calibrate runs one uncancellable calibration.
+func calibrate(t *testing.T, c Cluster, rng *rand.Rand, cfg CalibrationConfig) *Calibration {
+	t.Helper()
+	cal, err := CalibrateCtx(context.Background(), c, rng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
+}
 
 // smallProvider builds a compact data center for tests.
 func smallProvider(seed int64) *Provider {
@@ -46,16 +58,11 @@ func TestProvisionErrors(t *testing.T) {
 	if _, err := p.Provision(129, 1); err == nil {
 		t.Error("over capacity should error")
 	}
-	vc, err := p.Provision(128, 1)
-	if err != nil {
+	if _, err := p.Provision(128, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Provision(1, 2); err == nil {
 		t.Error("full provider should reject")
-	}
-	p.Release(vc)
-	if _, err := p.Provision(1, 3); err != nil {
-		t.Errorf("release should free capacity: %v", err)
 	}
 }
 
@@ -113,17 +120,12 @@ func TestMigrationChangesGroundTruth(t *testing.T) {
 		MigrationRate: 1000, // force migrations quickly
 	})
 	vc, _ := p.Provision(6, 11)
-	migrated := 0
-	vc.OnMigration(func(vm int) { migrated++ })
 	before := vc.TruePerf()
-	for k := 0; k < 200 && vc.Migrations() == 0; k++ {
+	for k := 0; k < 200 && vc.migrations == 0; k++ {
 		vc.AdvanceTime(3600)
 	}
-	if vc.Migrations() == 0 {
+	if vc.migrations == 0 {
 		t.Fatal("no migration occurred at extreme rate")
-	}
-	if migrated != vc.Migrations() {
-		t.Error("hook count mismatch")
 	}
 	after := vc.TruePerf()
 	if before.Bandwth.ApproxEqual(after.Bandwth, 1e-12) {
@@ -180,7 +182,7 @@ func TestCalibrateCoversAllPairs(t *testing.T) {
 	p := smallProvider(8)
 	vc, _ := p.Provision(6, 13)
 	rng := stats.NewRNG(99)
-	cal := Calibrate(vc, rng, CalibrationConfig{})
+	cal := calibrate(t, vc, rng, CalibrationConfig{})
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			if i == j {
@@ -201,8 +203,8 @@ func TestCalibrateSequentialCostsMore(t *testing.T) {
 	vc1, _ := p.Provision(6, 17)
 	vc2, _ := p.Provision(6, 17)
 	rng := stats.NewRNG(1)
-	paired := Calibrate(vc1, rng, CalibrationConfig{})
-	seq := Calibrate(vc2, rng, CalibrationConfig{Sequential: true})
+	paired := calibrate(t, vc1, rng, CalibrationConfig{})
+	seq := calibrate(t, vc2, rng, CalibrationConfig{Sequential: true})
 	if seq.Cost <= paired.Cost {
 		t.Errorf("sequential %v should cost more than paired %v", seq.Cost, paired.Cost)
 	}
@@ -287,13 +289,6 @@ func TestTraceRecordReplay(t *testing.T) {
 	got := rc.PairPerf(0, 1)
 	if got != tr.Perfs[2].Link(0, 1) {
 		t.Error("replay should advance to snapshot at t=50")
-	}
-	rc.Seek(tr.Times[0])
-	if rc.PairPerf(0, 1) != tr.Perfs[0].Link(0, 1) {
-		t.Error("seek back")
-	}
-	if rc.Snapshot() != tr.Perfs[0] {
-		t.Error("snapshot accessor")
 	}
 }
 
@@ -382,9 +377,6 @@ func TestSimClusterMeasurement(t *testing.T) {
 	if sc.Now() < before+1 {
 		t.Error("advance time")
 	}
-	if el := sc.Transfer(0, 1, 1000); el <= 0 {
-		t.Error("transfer elapsed")
-	}
 	mustPanic(t, func() { sc.AdvanceTime(-1) })
 	mustPanic(t, func() {
 		NewSimCluster(SimClusterConfig{Tree: topo.TreeConfig{Racks: 1, ServersPerRack: 2}, VMs: 99})
@@ -453,7 +445,7 @@ func TestCalibrateWithDropouts(t *testing.T) {
 	p := smallProvider(30)
 	vc, _ := p.Provision(8, 31)
 	rng := stats.NewRNG(7)
-	cal := Calibrate(vc, rng, CalibrationConfig{DropProb: 0.3})
+	cal := calibrate(t, vc, rng, CalibrationConfig{DropProb: 0.3})
 	if cal.Dropped == 0 {
 		t.Fatal("expected dropped probes at 30% drop rate")
 	}
@@ -499,7 +491,7 @@ func TestAdvisorPipelineSurvivesDropouts(t *testing.T) {
 
 func TestSnapshotPerfAndConfig(t *testing.T) {
 	p := smallProvider(40)
-	if p.Config().SlotsPerServer != 8 {
+	if p.cfg.SlotsPerServer != 8 {
 		t.Error("defaulted config")
 	}
 	vc, _ := p.Provision(4, 41)
@@ -513,6 +505,53 @@ func TestSnapshotPerfAndConfig(t *testing.T) {
 	}
 }
 
+// injectDrift overlays a cumulative per-link random walk plus sparse
+// spikes — the paper's §V-D3 noise procedure ("we change the network
+// performance by 1%... we repeat the process"). Each link's multiplicative
+// factor takes `steps` ±1% steps *per snapshot* and carries over to the
+// next snapshot, so the long-term performance itself drifts away from any
+// earlier calibration; spikes add transient interference on top.
+//
+// The cumulative walk is a martingale: its variance grows along the
+// trace, so no past calibration predicts the future orderings.
+// TestTraceCloneAndInjectors demonstrates that growth, which is why the
+// experiments use Trace.InjectNoise (mean-reverting) instead.
+func injectDrift(tr *Trace, rng *rand.Rand, steps int, spikeProb, spikeAmp float64) {
+	if tr.N == 0 {
+		return
+	}
+	factor := make([]float64, tr.N*tr.N)
+	for i := range factor {
+		factor[i] = 1
+	}
+	for _, pm := range tr.Perfs {
+		for i := 0; i < pm.N; i++ {
+			for j := 0; j < pm.N; j++ {
+				if i == j {
+					continue
+				}
+				idx := i*pm.N + j
+				for s := 0; s < steps; s++ {
+					if rng.Float64() < 0.5 {
+						factor[idx] *= 1.01
+					} else {
+						factor[idx] *= 0.99
+					}
+				}
+				l := pm.Link(i, j)
+				l.Beta *= factor[idx]
+				l.Alpha /= factor[idx]
+				if stats.Bernoulli(rng, spikeProb) {
+					slow := 1 + spikeAmp*rng.Float64()
+					l.Beta /= slow
+					l.Alpha *= slow
+				}
+				pm.SetLink(i, j, l)
+			}
+		}
+	}
+}
+
 func TestTraceCloneAndInjectors(t *testing.T) {
 	p := smallProvider(42)
 	vc, _ := p.Provision(3, 43)
@@ -520,7 +559,7 @@ func TestTraceCloneAndInjectors(t *testing.T) {
 	cl := tr.Clone()
 	rng := stats.NewRNG(44)
 
-	cl.InjectDrift(rng, 50, 0.1, 2)
+	injectDrift(cl, rng, 50, 0.1, 2)
 	if tr.Perfs[2].Bandwth.ApproxEqual(cl.Perfs[2].Bandwth, 1e-9) {
 		t.Error("drift should change the clone")
 	}
@@ -559,7 +598,7 @@ func TestTraceCloneAndInjectors(t *testing.T) {
 	cl3.InjectBursts(rng, 1, 5, 2, 1, 3) // startHi <= startLo
 	cl3.InjectBursts(rng, 1, 0, 2, 0, 3) // span < 1
 	(&Trace{}).InjectBursts(rng, 1, 0, 1, 1, 1)
-	(&Trace{}).InjectDrift(rng, 1, 0.1, 1)
+	injectDrift(&Trace{}, rng, 1, 0.1, 1)
 
 	// Original untouched by clone mutations.
 	if tr.Perfs[0].Bandwth.ApproxEqual(cl2.Perfs[0].Bandwth, 1e-9) && tr.Len() > 0 {

@@ -29,9 +29,9 @@ type CalibrationKey struct {
 
 // CalibrationMemo is a size-bounded, thread-safe LRU cache of calibration
 // traces. Identical (provider, size, seeds, procedure) tuples are measured
-// once per driver run; later requests replay the cached trace. Get and
-// GetOrCompute return deep clones, so callers can hand the trace to an
-// advisor (which keeps and may inspect it) without sharing state.
+// once per driver run; later requests replay the cached trace. Lookups
+// return deep clones, so callers can hand the trace to an advisor (which
+// keeps and may inspect it) without sharing state.
 //
 // Fault- and regime-change experiments that mutate the substrate between
 // calibrations must Invalidate their key (or InvalidateAll) before
@@ -117,33 +117,6 @@ func NewCalibrationMemo(capacity int) *CalibrationMemo {
 	}
 }
 
-// Get returns a deep clone of the cached trace for key, or nil.
-func (m *CalibrationMemo) Get(key CalibrationKey) *TemporalCalibration {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byK[key]; ok {
-		m.lru.MoveToFront(el)
-		m.hits++
-		return el.Value.(*memoEntry).tc.Clone()
-	}
-	m.misses++
-	return nil
-}
-
-// Put stores a deep clone of tc under key, evicting the least recently
-// used entry when full.
-func (m *CalibrationMemo) Put(key CalibrationKey, tc *TemporalCalibration) {
-	if m == nil || tc == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.put("", key, tc.Clone())
-}
-
 func (m *CalibrationMemo) put(owner string, key CalibrationKey, tc *TemporalCalibration) {
 	if el, ok := m.byK[key]; ok {
 		e := el.Value.(*memoEntry)
@@ -193,20 +166,14 @@ func (m *CalibrationMemo) removeElement(el *list.Element) {
 	}
 }
 
-// GetOrCompute returns a deep clone of the trace for key, calling compute
-// (and caching its result) on the first request. Concurrent requests for
-// the same key block on a single computation; distinct keys compute
-// concurrently. A compute error is returned to every waiter and nothing
-// is cached, so the next request retries.
-func (m *CalibrationMemo) GetOrCompute(key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
-	//netlint:allow cancelflow GetOrCompute is the documented non-cancellable compat shim over GetOrComputeCtx
-	return m.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute with cancellable waiting: a request
-// that finds the key's computation already in flight blocks until
-// either the computation finishes or ctx ends, in which case it
-// abandons the wait with a *cancel.Error (matching cancel.ErrCanceled).
+// GetOrComputeCtx returns a deep clone of the trace for key, calling
+// compute (and caching its result) on the first request. Concurrent
+// requests for the same key block on a single computation; distinct keys
+// compute concurrently. A compute error is returned to every waiter and
+// nothing is cached, so the next request retries. A request that finds
+// the key's computation already in flight blocks until either the
+// computation finishes or ctx ends, in which case it abandons the wait
+// with a *cancel.Error (matching cancel.ErrCanceled).
 // The computation itself is never interrupted by a *waiter's* context —
 // it belongs to the request that started it, which typically passes the
 // same ctx into its compute closure (so cancelling the whole sweep

@@ -27,6 +27,30 @@ func measureFor(t *testing.T, key CalibrationKey) *TemporalCalibration {
 	return CalibrateTP(vc, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
 }
 
+var errNotCached = errors.New("not cached")
+
+// cachedTrace is a lookup that never stores: a hit returns a clone of the
+// cached trace, and a miss returns nil because its compute refuses.
+func cachedTrace(m *CalibrationMemo, key CalibrationKey) *TemporalCalibration {
+	tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+		return nil, errNotCached
+	})
+	if err != nil {
+		return nil
+	}
+	return tc
+}
+
+// putTrace stores a clone of tc under key through a miss.
+func putTrace(t *testing.T, m *CalibrationMemo, key CalibrationKey, tc *TemporalCalibration) {
+	t.Helper()
+	if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+		return tc.Clone(), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMemoHitReturnsEqualTrace: a hit replays the same trace (equal
 // matrices and cost) through an independent deep copy.
 func TestMemoHitReturnsEqualTrace(t *testing.T) {
@@ -37,11 +61,11 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	a, err := m.GetOrCompute(key, compute)
+	a, err := m.GetOrComputeCtx(context.Background(), key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.GetOrCompute(key, compute)
+	b, err := m.GetOrComputeCtx(context.Background(), key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +88,7 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 	}
 	// Mutating one clone must not leak into the cache.
 	b.Bandwidth.Matrix().Set(0, 1, -1)
-	c := m.Get(key)
+	c := cachedTrace(m, key)
 	if c.Bandwidth.Matrix().At(0, 1) == -1 {
 		t.Fatal("clone mutation leaked into the cached trace")
 	}
@@ -86,7 +110,7 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -118,7 +142,7 @@ func TestMemoInvalidate(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	if _, err := m.GetOrCompute(key, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Invalidate(key) {
@@ -127,7 +151,7 @@ func TestMemoInvalidate(t *testing.T) {
 	if m.Invalidate(key) {
 		t.Fatal("second Invalidate should find nothing")
 	}
-	if _, err := m.GetOrCompute(key, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
 		t.Fatal(err)
 	}
 	if computes != 2 {
@@ -136,10 +160,10 @@ func TestMemoInvalidate(t *testing.T) {
 
 	boom := errors.New("probe storm")
 	k2 := memoKey(6, 301)
-	if _, err := m.GetOrCompute(k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := m.GetOrComputeCtx(context.Background(), k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want compute error", err)
 	}
-	if _, err := m.GetOrCompute(k2, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), k2, compute); err != nil {
 		t.Fatalf("error must not be cached: %v", err)
 	}
 
@@ -155,19 +179,19 @@ func TestMemoLRUBound(t *testing.T) {
 	m := NewCalibrationMemo(2)
 	tc := measureFor(t, memoKey(4, 400))
 	k1, k2, k3 := memoKey(4, 401), memoKey(4, 402), memoKey(4, 403)
-	m.Put(k1, tc)
-	m.Put(k2, tc)
-	if m.Get(k1) == nil { // touch k1 so k2 is the LRU
+	putTrace(t, m, k1, tc)
+	putTrace(t, m, k2, tc)
+	if cachedTrace(m, k1) == nil { // touch k1 so k2 is the LRU
 		t.Fatal("k1 missing")
 	}
-	m.Put(k3, tc)
+	putTrace(t, m, k3, tc)
 	if st := m.Stats(); st.Entries != 2 {
 		t.Fatalf("entries %d, want 2", st.Entries)
 	}
-	if m.Get(k2) != nil {
+	if cachedTrace(m, k2) != nil {
 		t.Fatal("k2 should have been evicted as LRU")
 	}
-	if m.Get(k1) == nil || m.Get(k3) == nil {
+	if cachedTrace(m, k1) == nil || cachedTrace(m, k3) == nil {
 		t.Fatal("k1 and k3 should survive")
 	}
 }
@@ -208,7 +232,7 @@ func TestMemoInvalidateDropsInflightInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tc, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release // hold the computation while Invalidate lands
 			return pre, nil
@@ -222,7 +246,7 @@ func TestMemoInvalidateDropsInflightInsert(t *testing.T) {
 	close(release)
 	<-done
 
-	if got := m.Get(key); got != nil {
+	if got := cachedTrace(m, key); got != nil {
 		t.Fatal("pre-invalidation compute repopulated the cache")
 	}
 }
@@ -239,7 +263,7 @@ func TestMemoInvalidateAllDropsInflightInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release
 			return pre, nil
@@ -252,7 +276,7 @@ func TestMemoInvalidateAllDropsInflightInsert(t *testing.T) {
 	close(release)
 	<-done
 
-	if got := m.Get(key); got != nil {
+	if got := cachedTrace(m, key); got != nil {
 		t.Fatal("pre-InvalidateAll compute repopulated the cache")
 	}
 }
@@ -273,7 +297,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	staleDone := make(chan struct{})
 	go func() {
 		defer close(staleDone)
-		if _, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release
 			return pre, nil
@@ -285,7 +309,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	m.Invalidate(key)
 
 	freshRan := false
-	got, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+	got, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 		freshRan = true
 		return post, nil
 	})
@@ -301,7 +325,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	close(release)
 	<-staleDone
 
-	cached := m.Get(key)
+	cached := cachedTrace(m, key)
 	if cached == nil {
 		t.Fatal("fresh trace not cached")
 	}
@@ -310,7 +334,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidateRaceStress hammers GetOrCompute against Invalidate
+// TestMemoInvalidateRaceStress hammers GetOrComputeCtx against Invalidate
 // under the race detector: after every invalidation the cache must never
 // serve a trace computed before it (cost stamps are monotonic per round).
 func TestMemoInvalidateRaceStress(t *testing.T) {
@@ -327,7 +351,7 @@ func TestMemoInvalidateRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tc, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+				tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 					mu.Lock()
 					r := round
 					mu.Unlock()
@@ -336,7 +360,7 @@ func TestMemoInvalidateRaceStress(t *testing.T) {
 					return c, nil
 				})
 				if err != nil || tc == nil {
-					t.Errorf("GetOrCompute: %v", err)
+					t.Errorf("GetOrComputeCtx: %v", err)
 					return
 				}
 			}
@@ -359,7 +383,7 @@ func TestMemoInvalidateRaceStress(t *testing.T) {
 	mu.Lock()
 	final := round
 	mu.Unlock()
-	if tc := m.Get(key); tc != nil && int(tc.TotalCost) < final {
+	if tc := cachedTrace(m, key); tc != nil && int(tc.TotalCost) < final {
 		// A cached trace older than the last invalidation is exactly the
 		// replay hazard the generation stamps exist to prevent. (Equal is
 		// fine: a compute that started after the final Invalidate.)
@@ -408,7 +432,7 @@ func TestMemoOwnerFairness(t *testing.T) {
 	}
 
 	// And the hot tenant still retains the most recent traces it can hold.
-	if m.Get(memoKey(4, 609)) == nil {
+	if cachedTrace(m, memoKey(4, 609)) == nil {
 		t.Fatal("hot tenant's most recent trace should survive its own burst")
 	}
 }

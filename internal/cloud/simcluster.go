@@ -134,13 +134,6 @@ func (sc *SimCluster) StopBackground() {
 	}
 }
 
-// Transfer runs one data transfer between two VMs through the simulator
-// and returns its elapsed time — the execution primitive used when
-// collectives run on the simulated cluster.
-func (sc *SimCluster) Transfer(i, j int, bytes float64) float64 {
-	return sc.Sim.Transfer(sc.Hosts[i], sc.Hosts[j], bytes)
-}
-
 // CalibratePaired performs one all-link calibration on the simulated
 // cluster using the paper's paired schedule with *genuinely concurrent*
 // probes: in every round, ⌊N/2⌋ disjoint pairs run their bulk transfers

@@ -3,7 +3,9 @@ package cloud
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"netconstant/internal/netmodel"
@@ -47,64 +49,6 @@ func (tr *Trace) Clone() *Trace {
 		out.Perfs = append(out.Perfs, pm.Clone())
 	}
 	return out
-}
-
-// At returns the snapshot index whose time is closest to t (snapshots are
-// time-ordered).
-func (tr *Trace) At(t float64) int {
-	best, bestDist := 0, -1.0
-	for i, tm := range tr.Times {
-		d := tm - t
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
-// InjectDrift overlays a cumulative per-link random walk plus sparse
-// spikes — the paper's §V-D3 noise procedure ("we change the network
-// performance by 1%... we repeat the process"). Each link's multiplicative
-// factor takes `steps` ±1% steps *per snapshot* and carries over to the
-// next snapshot, so the long-term performance itself drifts away from any
-// earlier calibration; spikes add transient interference on top.
-func (tr *Trace) InjectDrift(rng *rand.Rand, steps int, spikeProb, spikeAmp float64) {
-	if tr.N == 0 {
-		return
-	}
-	factor := make([]float64, tr.N*tr.N)
-	for i := range factor {
-		factor[i] = 1
-	}
-	for _, pm := range tr.Perfs {
-		for i := 0; i < pm.N; i++ {
-			for j := 0; j < pm.N; j++ {
-				if i == j {
-					continue
-				}
-				idx := i*pm.N + j
-				for s := 0; s < steps; s++ {
-					if rng.Float64() < 0.5 {
-						factor[idx] *= 1.01
-					} else {
-						factor[idx] *= 0.99
-					}
-				}
-				l := pm.Link(i, j)
-				l.Beta *= factor[idx]
-				l.Alpha /= factor[idx]
-				if stats.Bernoulli(rng, spikeProb) {
-					slow := 1 + spikeAmp*rng.Float64()
-					l.Beta /= slow
-					l.Alpha *= slow
-				}
-				pm.SetLink(i, j, l)
-			}
-		}
-	}
 }
 
 // InjectBursts overlays correlated congestion episodes: each affected
@@ -193,19 +137,31 @@ func (tr *Trace) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(g)
 }
 
-// DecodeTrace reads a trace written by Encode.
+// DecodeTrace reads a trace written by Encode. The bytes come from
+// outside the program (`netconstant replay -i`), so a trace with a
+// negative size, a snapshot that is not N×N, or a non-finite time,
+// latency or bandwidth is rejected with an error.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	var g gobTrace
 	if err := gob.NewDecoder(r).Decode(&g); err != nil {
 		return nil, err
 	}
+	if g.N < 0 {
+		return nil, fmt.Errorf("cloud: corrupt trace: negative size %d", g.N)
+	}
 	if len(g.Lat) != len(g.Times) || len(g.Bw) != len(g.Times) {
 		return nil, errors.New("cloud: corrupt trace")
 	}
+	if !allFinite(g.Times) {
+		return nil, errors.New("cloud: corrupt trace: non-finite time")
+	}
 	tr := &Trace{N: g.N, Times: g.Times}
 	for k := range g.Times {
-		if len(g.Lat[k]) != g.N*g.N || len(g.Bw[k]) != g.N*g.N {
+		if !isSquare(len(g.Lat[k]), g.N) || !isSquare(len(g.Bw[k]), g.N) {
 			return nil, errors.New("cloud: corrupt trace snapshot")
+		}
+		if !allFinite(g.Lat[k]) || !allFinite(g.Bw[k]) {
+			return nil, fmt.Errorf("cloud: corrupt trace snapshot %d: non-finite link value", k)
 		}
 		pm := &netmodel.PerfMatrix{
 			N:       g.N,
@@ -215,6 +171,24 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		tr.Perfs = append(tr.Perfs, pm)
 	}
 	return tr, nil
+}
+
+// isSquare reports whether length == n*n, without forming n*n, which
+// overflows for a hostile n.
+func isSquare(length, n int) bool {
+	if n == 0 {
+		return length == 0
+	}
+	return length%n == 0 && length/n == n
+}
+
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ReplayCluster replays a recorded trace as a Cluster: PairPerf reads the
@@ -251,18 +225,7 @@ func (rc *ReplayCluster) AdvanceTime(dt float64) {
 	}
 }
 
-// Seek jumps the replay clock to absolute time t (forward or backward).
-func (rc *ReplayCluster) Seek(t float64) {
-	rc.now = t
-	rc.cur = rc.trace.At(t)
-}
-
 // PairPerf returns the recorded performance at the current replay point.
 func (rc *ReplayCluster) PairPerf(i, j int) netmodel.Link {
 	return rc.trace.Perfs[rc.cur].Link(i, j)
-}
-
-// Snapshot returns the full current performance matrix.
-func (rc *ReplayCluster) Snapshot() *netmodel.PerfMatrix {
-	return rc.trace.Perfs[rc.cur]
 }

@@ -182,19 +182,14 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 	}, nil
 }
 
-// DecomposeTPMasked runs the masked IALM solver on a partially observed
-// TP-matrix and extracts the constant row. mask is the rows×N² observation
-// mask (1 = measured); nil falls back to the fully observed IALM path. The
-// same fat-matrix λ default as DecomposeTP applies, and NormE is evaluated
-// on the observed cells only — unobserved cells carry no evidence about
-// the network's dynamism, so counting their (reconstructed) residual would
+// DecomposeTPMaskedWith runs the masked IALM solver, on a caller-held
+// solver (see DecomposeTPWith), over a partially observed TP-matrix and
+// extracts the constant row. mask is the rows×N² observation mask (1 =
+// measured); nil falls back to the fully observed IALM path. The same
+// fat-matrix λ default as DecomposeTP applies, and NormE is evaluated on
+// the observed cells only — unobserved cells carry no evidence about the
+// network's dynamism, so counting their (reconstructed) residual would
 // understate it.
-func DecomposeTPMasked(tp *netmodel.TPMatrix, mask *mat.Dense, opts rpca.IALMOptions, extract rpca.ExtractMethod) (*Decomposition, error) {
-	return DecomposeTPMaskedWith(rpca.NewSolver(), tp, mask, opts, extract)
-}
-
-// DecomposeTPMaskedWith is DecomposeTPMasked on a caller-held solver (see
-// DecomposeTPWith).
 func DecomposeTPMaskedWith(s *rpca.Solver, tp *netmodel.TPMatrix, mask *mat.Dense, opts rpca.IALMOptions, extract rpca.ExtractMethod) (*Decomposition, error) {
 	a := tp.Matrix()
 	if opts.Lambda == 0 && a.Rows() > 0 {

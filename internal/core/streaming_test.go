@@ -28,18 +28,12 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 	if !adv.StreamingActive() {
 		t.Fatal("session not active after BeginStreaming")
 	}
-	if adv.StreamingConstant() == nil {
-		t.Fatal("no streaming constant")
-	}
 	// A fresh full calibration supersedes the session.
 	if err := adv.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
 	if adv.StreamingActive() {
 		t.Fatal("session survived a full calibration")
-	}
-	if adv.StreamingConstant() != nil {
-		t.Fatal("streaming constant after session end")
 	}
 	if err := adv.PartialResolve(); !errors.Is(err, ErrNotStreaming) {
 		t.Fatalf("PartialResolve err = %v, want ErrNotStreaming", err)
@@ -117,7 +111,7 @@ func TestAdvisorObserveRegimeUsesPartialResolve(t *testing.T) {
 	if !adv.StreamingActive() {
 		t.Fatal("session closed by a partial re-solve")
 	}
-	if adv.DivergenceEWMA() != 0 {
+	if adv.divEWMA != 0 {
 		t.Fatal("partial re-solve did not reset the divergence EWMA")
 	}
 

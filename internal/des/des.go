@@ -38,9 +38,6 @@ func (t *Timer) Cancel() {
 	}
 }
 
-// At returns the simulated time the timer is scheduled for.
-func (t *Timer) At() float64 { return t.at }
-
 // Engine is a discrete-event scheduler with a virtual clock.
 type Engine struct {
 	now        float64
@@ -122,12 +119,6 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run fires events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
 // RunUntil fires events with time <= deadline, then advances the clock to
 // exactly the deadline (later events stay queued).
 func (e *Engine) RunUntil(deadline float64) {
@@ -141,17 +132,6 @@ func (e *Engine) RunUntil(deadline float64) {
 	if deadline > e.now {
 		e.now = deadline
 	}
-}
-
-// Pending returns the number of live (non-cancelled) queued events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, t := range e.q {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *Engine) peek() *Timer {

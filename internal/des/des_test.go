@@ -6,13 +6,30 @@ import (
 	"testing"
 )
 
+// run fires events until the queue is empty.
+func run(e *Engine) {
+	for e.Step() {
+	}
+}
+
+// pending counts the queued timers that are not cancelled.
+func pending(e *Engine) int {
+	n := 0
+	for _, t := range e.q {
+		if !t.cancelled {
+			n++
+		}
+	}
+	return n
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	e.Run()
+	run(e)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order %v", order)
 	}
@@ -27,7 +44,7 @@ func TestTieBreakBySequence(t *testing.T) {
 	e.Schedule(5, func() { order = append(order, "a") })
 	e.Schedule(5, func() { order = append(order, "b") })
 	e.Schedule(5, func() { order = append(order, "c") })
-	e.Run()
+	run(e)
 	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Errorf("tie order %v", order)
 	}
@@ -39,7 +56,7 @@ func TestAfter(t *testing.T) {
 	e.Schedule(2, func() {
 		e.After(3, func() { fired = e.Now() })
 	})
-	e.Run()
+	run(e)
 	if fired != 5 {
 		t.Errorf("After fired at %v", fired)
 	}
@@ -50,20 +67,20 @@ func TestCancel(t *testing.T) {
 	fired := false
 	timer := e.Schedule(1, func() { fired = true })
 	timer.Cancel()
-	e.Run()
+	run(e)
 	if fired {
 		t.Error("cancelled timer fired")
 	}
 	timer.Cancel() // double-cancel is fine
-	if timer.At() != 1 {
-		t.Error("At")
+	if timer.at != 1 {
+		t.Error("scheduled time")
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(5, func() {})
-	e.Run()
+	run(e)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -96,10 +113,10 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 2.5 {
 		t.Errorf("clock %v", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending %d", e.Pending())
+	if pending(e) != 2 {
+		t.Errorf("pending %d", pending(e))
 	}
-	e.Run()
+	run(e)
 	if len(fired) != 4 {
 		t.Error("remaining events lost")
 	}
@@ -130,10 +147,10 @@ func TestPendingSkipsCancelled(t *testing.T) {
 	a := e.Schedule(1, func() {})
 	e.Schedule(2, func() {})
 	a.Cancel()
-	if e.Pending() != 1 {
-		t.Errorf("pending %d", e.Pending())
+	if pending(e) != 1 {
+		t.Errorf("pending %d", pending(e))
 	}
-	e.Run()
+	run(e)
 	if e.Now() != 2 {
 		t.Error("cancelled head should be skipped")
 	}
@@ -148,7 +165,7 @@ func TestCascadingEvents(t *testing.T) {
 		order = append(order, 1)
 		e.Schedule(1, func() { order = append(order, 2) })
 	})
-	e.Run()
+	run(e)
 	if len(order) != 2 || order[1] != 2 {
 		t.Errorf("cascade order %v", order)
 	}
@@ -173,7 +190,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 				}
 			})
 		}
-		e.Run()
+		run(e)
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				t.Fatalf("seed %d: time went backwards: %v -> %v", seed, fired[i-1], fired[i])
@@ -219,8 +236,8 @@ func TestCancelChurnBoundsHeap(t *testing.T) {
 	if maxLen >= rounds/2 {
 		t.Fatalf("heap length %d scales with churn count %d", maxLen, rounds)
 	}
-	if got := e.Pending(); got != len(e.q)-e.nCancelled {
-		t.Fatalf("Pending %d disagrees with len(q)-nCancelled %d", got, len(e.q)-e.nCancelled)
+	if got := pending(e); got != len(e.q)-e.nCancelled {
+		t.Fatalf("%d live timers disagree with len(q)-nCancelled %d", got, len(e.q)-e.nCancelled)
 	}
 	// The engine must still fire exactly the surviving timers, in order.
 	n := 0
@@ -241,7 +258,7 @@ func TestCancelAfterFireKeepsCounterSane(t *testing.T) {
 	e := NewEngine()
 	var fired *Timer
 	fired = e.After(1, func() {})
-	e.Run()
+	run(e)
 	fired.Cancel() // after fire: index is -1, must not count
 	fired.Cancel() // double cancel: no-op
 	if e.nCancelled != 0 {

@@ -1,16 +1,34 @@
 package faults
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"netconstant/internal/cloud"
+	"netconstant/internal/netmodel"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
+
+// tpBits is the exact content of TP-matrices — times and cells as IEEE
+// bit patterns — for byte-identity checks.
+func tpBits(tps ...*netmodel.TPMatrix) []uint64 {
+	var out []uint64
+	for _, tp := range tps {
+		for _, v := range tp.Times {
+			out = append(out, math.Float64bits(v))
+		}
+		m := tp.Matrix()
+		for i := 0; i < m.Rows(); i++ {
+			for _, v := range m.Row(i) {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+	}
+	return out
+}
 
 func testCluster(t *testing.T, n int, seed int64) (*cloud.Provider, *cloud.VirtualCluster) {
 	t.Helper()
@@ -52,7 +70,12 @@ func TestStragglersSlowTheirLinks(t *testing.T) {
 	_, vc := testCluster(t, 8, 2)
 	vc.SetFreezeDynamics(true)
 	fc := Wrap(vc, Scenario{Seed: 3, Stragglers: 2, StragglerFactor: 8})
-	slow := fc.StragglerVMs()
+	var slow []int
+	for vm, s := range fc.straggler {
+		if s {
+			slow = append(slow, vm)
+		}
+	}
 	if len(slow) != 2 {
 		t.Fatalf("stragglers %v", slow)
 	}
@@ -188,7 +211,7 @@ func TestChurnMakesVMsTransientlyUnreachable(t *testing.T) {
 	}
 	// Find the churned VM from the log and verify unreachability.
 	vm := -1
-	for _, ev := range fc.Events() {
+	for _, ev := range fc.events {
 		if ev.Kind == EventChurnStart {
 			vm = ev.I
 		}
@@ -236,23 +259,16 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	fc1, tc1 := build()
 	fc2, tc2 := build()
 
-	if !reflect.DeepEqual(fc1.Events(), fc2.Events()) {
+	if !reflect.DeepEqual(fc1.events, fc2.events) {
 		t.Error("event logs differ across identically seeded runs")
 	}
 	if !reflect.DeepEqual(fc1.EventCounts(), fc2.EventCounts()) {
 		t.Error("event counts differ")
 	}
-	enc := func(tc *cloud.TemporalCalibration) []byte {
-		var buf bytes.Buffer
-		if err := tc.Bandwidth.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.Latency.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	enc := func(tc *cloud.TemporalCalibration) []uint64 {
+		return tpBits(tc.Bandwidth, tc.Latency)
 	}
-	if !bytes.Equal(enc(tc1), enc(tc2)) {
+	if !reflect.DeepEqual(enc(tc1), enc(tc2)) {
 		t.Error("calibrations not byte-identical under identical seeds and faults")
 	}
 	if tc1.TotalCost != tc2.TotalCost {

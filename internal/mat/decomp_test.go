@@ -28,7 +28,7 @@ func checkOrthonormalCols(t *testing.T, q *Dense, tol float64) {
 			if VecNorm2(cb) == 0 {
 				continue
 			}
-			if d := math.Abs(Dot(ca, cb)); d > tol {
+			if d := math.Abs(dot(ca, cb)); d > tol {
 				t.Errorf("columns %d,%d not orthogonal: %v", a, b, d)
 			}
 		}
@@ -171,9 +171,9 @@ func TestRank1PowerIteration(t *testing.T) {
 	// Exact rank-1 input must be recovered exactly.
 	u := []float64{1, 2, 3}
 	v := []float64{4, 5}
-	a := Outer(u, v)
+	a := outer(u, v)
 	sigma, uu, vv := a.Rank1()
-	rec := Outer(uu, vv).Scale(sigma)
+	rec := outer(uu, vv).Scale(sigma)
 	if !rec.ApproxEqual(a, 1e-9) {
 		t.Error("rank1 recovery of exact rank-1 matrix")
 	}

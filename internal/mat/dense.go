@@ -130,6 +130,7 @@ func (m *Dense) Col(j int) []float64 {
 }
 
 // Data returns the backing row-major slice (not a copy).
+//
 //netlint:hotpath
 func (m *Dense) Data() []float64 { return m.data }
 
@@ -176,14 +177,6 @@ func (m *Dense) AddInPlace(b *Dense) {
 	m.sameDims(b)
 	for i := range m.data {
 		m.data[i] += b.data[i]
-	}
-}
-
-// SubInPlace subtracts b from m.
-func (m *Dense) SubInPlace(b *Dense) {
-	m.sameDims(b)
-	for i := range m.data {
-		m.data[i] -= b.data[i]
 	}
 }
 
@@ -291,33 +284,6 @@ func (m *Dense) String() string {
 		sb.WriteString("...\n")
 	}
 	return sb.String()
-}
-
-// Outer returns the outer product u·vᵀ.
-func Outer(u, v []float64) *Dense {
-	m := NewDense(len(u), len(v))
-	for i, ui := range u {
-		if ui == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, vj := range v {
-			row[j] = ui * vj
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // VecNorm2 returns the Euclidean norm of v.

@@ -45,6 +45,7 @@ func (t *mulTask) Run(lo, hi int) { mulRange(t.out, t.a, t.b, lo, hi) }
 
 // MulInto computes out = a·b into the preallocated out (which must not
 // alias a or b).
+//
 //netlint:hotpath
 func MulInto(out, a, b *Dense) {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
@@ -88,6 +89,7 @@ func (t *mulATBTask) Run(lo, hi int) { mulATBRange(t.out, t.a, t.b, lo, hi) }
 // mulATBInto computes out = aᵀ·b (out is a.cols × b.cols) without
 // materializing the transpose. Chunks partition rows of out, i.e. columns
 // of a; each output element accumulates over a's rows in ascending order.
+//
 //netlint:hotpath
 func mulATBInto(out, a, b *Dense) {
 	if a.rows != b.rows || out.rows != a.cols || out.cols != b.cols {
@@ -225,6 +227,7 @@ func (t *linComb2Task) Run(lo, hi int) { linComb2Range(t.out, t.a, t.b, t.sa, t.
 
 // LinComb2Into computes out = sa·a + sb·b elementwise. out may alias a
 // and/or b.
+//
 //netlint:hotpath
 func LinComb2Into(out *Dense, sa float64, a *Dense, sb float64, b *Dense) {
 	a.sameDims(b)
@@ -253,6 +256,7 @@ func (t *linComb3Task) Run(lo, hi int) {
 
 // LinComb3Into computes out = sa·a + sb·b + sc·c elementwise. out may
 // alias any input.
+//
 //netlint:hotpath
 func LinComb3Into(out *Dense, sa float64, a *Dense, sb float64, b *Dense, sc float64, c *Dense) {
 	a.sameDims(b)
@@ -283,6 +287,7 @@ func (t *momentumTask) Run(lo, hi int) { momentumRange(t.out, t.cur, t.prev, t.b
 // MomentumInto computes the Nesterov extrapolation
 // out = cur + beta·(cur − prev) elementwise; out may alias cur or prev.
 // With beta == 0 it reduces to an exact copy of cur.
+//
 //netlint:hotpath
 func MomentumInto(out, cur, prev *Dense, beta float64) {
 	cur.sameDims(prev)
@@ -310,6 +315,7 @@ func (t *softTask) Run(lo, hi int) { softRange(t.out, t.src, t.tau, lo, hi) }
 
 // SoftThresholdInto applies sign(x)·max(|x|−tau, 0) elementwise into out;
 // out may alias src.
+//
 //netlint:hotpath
 func SoftThresholdInto(out, src *Dense, tau float64) {
 	src.sameDims(out)
@@ -321,6 +327,7 @@ func SoftThresholdInto(out, src *Dense, tau float64) {
 }
 
 // AddScaledInPlace computes m += s·b elementwise.
+//
 //netlint:hotpath
 func AddScaledInPlace(m *Dense, s float64, b *Dense) {
 	m.sameDims(b)
@@ -344,6 +351,7 @@ func (m *Dense) Zero() {
 
 // NormFroDiff returns ‖a − b‖_F without materializing the difference —
 // the convergence criterion of the RPCA solvers, allocation-free.
+//
 //netlint:hotpath
 func NormFroDiff(a, b *Dense) float64 {
 	a.sameDims(b)

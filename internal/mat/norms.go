@@ -3,6 +3,7 @@ package mat
 import "math"
 
 // NormFrobenius returns the Frobenius norm sqrt(Σ aij²).
+//
 //netlint:hotpath
 func (m *Dense) NormFrobenius() float64 {
 	var s float64
@@ -91,17 +92,6 @@ func (m *Dense) NormSpectral() float64 {
 		sigma = newSigma
 	}
 	return sigma
-}
-
-// NormNuclear returns the nuclear (trace) norm, the sum of singular values.
-// This is the convex surrogate for rank used by RPCA's low-rank term.
-func (m *Dense) NormNuclear() float64 {
-	sv := m.SingularValues()
-	var s float64
-	for _, v := range sv {
-		s += v
-	}
-	return s
 }
 
 // Rank returns the numerical rank: the number of singular values larger

@@ -90,6 +90,7 @@ func (p *workerPool) worker() {
 }
 
 // Parallelism reports the worker count the mat kernels target.
+//
 //netlint:hotpath
 func Parallelism() int {
 	getPool()
@@ -136,6 +137,7 @@ func (t shardTask) Run(lo, hi int) {
 // max-min fill is the canonical user: connected components of the
 // flow↔link sharing graph are arithmetically independent, so filling them
 // in any interleaving is byte-identical to the sequential loop.
+//
 //netlint:hotpath
 func ParallelShards(n int, f func(shard int)) {
 	parallelFor(n, 1, shardTask{f})

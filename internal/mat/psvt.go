@@ -163,6 +163,7 @@ func view(h *Dense, r, c int, buf []float64) *Dense {
 // alias m. Results are byte-identical at any parallelism; the truncated
 // route is a numerical approximation of the full route accurate to the
 // subspace-iteration tolerance.
+//
 //netlint:hotpath
 func (ws *SVTWorkspace) SVTInto(out, m *Dense, tau float64) int {
 	r0, c0 := m.Dims()

@@ -94,6 +94,22 @@ func mustPanic(t *testing.T, f func()) {
 // longest path of total weight 5; raising the weight of the first-picked
 // link restructures the tree and lengthens the critical path (Fig 1b /
 // §III's motivation for individual link accuracy).
+// longestPathWeight returns the maximum root-to-leaf sum of edge weights —
+// the "total weight of the longest path" of the paper's Fig 1 example.
+func longestPathWeight(tr *Tree, w *mat.Dense) float64 {
+	var walk func(v int) float64
+	walk = func(v int) float64 {
+		best := 0.0
+		for _, c := range tr.Children[v] {
+			if d := w.At(v, c) + walk(c); d > best {
+				best = d
+			}
+		}
+		return best
+	}
+	return walk(tr.Root)
+}
+
 func TestFNFPaperExample(t *testing.T) {
 	inf := 1e9
 	w := mat.FromRows([][]float64{
@@ -122,7 +138,7 @@ func TestFNFPaperExample(t *testing.T) {
 	// (5) → 3; then 2 picks 4 (6) vs 1 picks 4 (5) — order is selection
 	// order: 0, 2, 1 → 0 takes 3, 2 takes 4 (weight 6)... check tree is
 	// fully valid and longest path matches the hand computation.
-	got := tr.LongestPathWeight(w)
+	got := longestPathWeight(tr, w)
 	want := 8.0 // 0->2 (2) + 2->4 (6)
 	if tr.Parent[4] == 1 {
 		want = 8 // 1 path 0->1(3)+1->4(5)

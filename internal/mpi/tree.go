@@ -102,22 +102,6 @@ func (t *Tree) Depth() int {
 	return walk(t.Root)
 }
 
-// LongestPathWeight returns the maximum root-to-leaf sum of edge weights —
-// the "total weight of the longest path" of the paper's Fig 1 example.
-func (t *Tree) LongestPathWeight(w *mat.Dense) float64 {
-	var walk func(v int) float64
-	walk = func(v int) float64 {
-		best := 0.0
-		for _, c := range t.Children[v] {
-			if d := w.At(v, c) + walk(c); d > best {
-				best = d
-			}
-		}
-		return best
-	}
-	return walk(t.Root)
-}
-
 func newEmptyTree(n, root int) *Tree {
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("mpi: root %d out of range for %d ranks", root, n))

@@ -105,10 +105,6 @@ func TestTPMatrixAppendAndViews(t *testing.T) {
 	if tp.Head(99).Steps() != 2 {
 		t.Error("head clamp")
 	}
-	w := tp.Window(5, 15)
-	if w.Steps() != 1 || w.Times[0] != 10 {
-		t.Error("window")
-	}
 	c := tp.Clone()
 	c.Append(20, s1)
 	if tp.Steps() != 2 {
@@ -131,22 +127,6 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestTPMatrixGobRoundTrip(t *testing.T) {
-	tp := NewTPMatrix(2)
-	tp.Append(1, mat.FromRows([][]float64{{0, 5}, {6, 0}}))
-	tp.Append(2, mat.FromRows([][]float64{{0, 7}, {8, 0}}))
-	back, err := RoundTripBytes(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Steps() != 2 || back.N != 2 {
-		t.Fatal("round trip shape")
-	}
-	if !back.Snapshot(1).ApproxEqual(tp.Snapshot(1), 0) {
-		t.Error("round trip content")
-	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -229,32 +209,6 @@ func TestPropertyVectorizeRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: gob round trip preserves every snapshot exactly.
-func TestPropertyGobRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		tp := NewTPMatrix(n)
-		steps := 1 + rng.Intn(6)
-		for s := 0; s < steps; s++ {
-			tp.Append(float64(s), mat.RandomNormal(rng, n, n, 10, 3))
-		}
-		back, err := RoundTripBytes(tp)
-		if err != nil || back.Steps() != steps {
-			return false
-		}
-		for s := 0; s < steps; s++ {
-			if !back.Snapshot(s).ApproxEqual(tp.Snapshot(s), 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRepairInNetmodel(t *testing.T) {
 	pm := NewPerfMatrix(3)
 	for i := 0; i < 3; i++ {
@@ -276,11 +230,5 @@ func TestRepairInNetmodel(t *testing.T) {
 	empty := NewPerfMatrix(2)
 	if empty.Repair() != 0 {
 		t.Error("all-zero matrix has nothing to repair from")
-	}
-}
-
-func TestDecodeTPMatrixCorrupt(t *testing.T) {
-	if _, err := DecodeTPMatrix(bytes.NewBufferString("garbage")); err == nil {
-		t.Error("garbage should fail to decode")
 	}
 }

@@ -6,10 +6,7 @@
 package netmodel
 
 import (
-	"bytes"
 	"encoding/csv"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -118,18 +115,6 @@ func (p *PerfMatrix) MarkMissing(i, j int) {
 	p.Quality.Set(i, j, 0)
 }
 
-// QualityAt returns the cell's quality score; matrices without quality
-// tracking report full quality for every off-diagonal cell.
-func (p *PerfMatrix) QualityAt(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	if p.Quality == nil {
-		return 1
-	}
-	return p.Quality.At(i, j)
-}
-
 // IsMissing reports whether the directed off-diagonal cell holds no
 // measurement. With quality tracking a cell is missing iff its quality is
 // zero; legacy matrices fall back to the non-positive-value convention
@@ -142,23 +127,6 @@ func (p *PerfMatrix) IsMissing(i, j int) bool {
 		return !(p.Quality.At(i, j) > 0)
 	}
 	return !(p.Bandwth.At(i, j) > 0)
-}
-
-// Coverage returns the fraction of off-diagonal cells holding a
-// measurement.
-func (p *PerfMatrix) Coverage() float64 {
-	if p.N < 2 {
-		return 1
-	}
-	measured := 0
-	for i := 0; i < p.N; i++ {
-		for j := 0; j < p.N; j++ {
-			if i != j && !p.IsMissing(i, j) {
-				measured++
-			}
-		}
-	}
-	return float64(measured) / float64(p.N*(p.N-1))
 }
 
 // MeanQuality averages the quality score over all off-diagonal cells
@@ -336,18 +304,6 @@ func (tp *TPMatrix) Head(k int) *TPMatrix {
 	return out
 }
 
-// Window returns the rows with Times in [t0, t1] as a new TP-matrix.
-func (tp *TPMatrix) Window(t0, t1 float64) *TPMatrix {
-	out := NewTPMatrix(tp.N)
-	for i, tm := range tp.Times {
-		if tm >= t0 && tm <= t1 {
-			out.Times = append(out.Times, tm)
-			out.rows = append(out.rows, append([]float64(nil), tp.rows[i]...))
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the TP-matrix.
 func (tp *TPMatrix) Clone() *TPMatrix {
 	out := NewTPMatrix(tp.N)
@@ -356,36 +312,6 @@ func (tp *TPMatrix) Clone() *TPMatrix {
 		out.rows = append(out.rows, append([]float64(nil), r...))
 	}
 	return out
-}
-
-// gobTP mirrors TPMatrix for encoding (unexported fields are not encoded
-// by gob directly).
-type gobTP struct {
-	N     int
-	Times []float64
-	Rows  [][]float64
-}
-
-// Encode serializes the TP-matrix with encoding/gob.
-func (tp *TPMatrix) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gobTP{N: tp.N, Times: tp.Times, Rows: tp.rows})
-}
-
-// DecodeTPMatrix reads a TP-matrix previously written by Encode.
-func DecodeTPMatrix(r io.Reader) (*TPMatrix, error) {
-	var g gobTP
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, err
-	}
-	if len(g.Times) != len(g.Rows) {
-		return nil, errors.New("netmodel: corrupt TP-matrix: times/rows mismatch")
-	}
-	for _, row := range g.Rows {
-		if len(row) != g.N*g.N {
-			return nil, errors.New("netmodel: corrupt TP-matrix: row length mismatch")
-		}
-	}
-	return &TPMatrix{N: g.N, Times: g.Times, rows: g.Rows}, nil
 }
 
 // WriteCSV writes a snapshot matrix as CSV (one row per line).
@@ -425,16 +351,6 @@ func ReadCSV(r io.Reader) (*mat.Dense, error) {
 		}
 	}
 	return mat.FromRows(rows), nil
-}
-
-// RoundTripBytes is a convenience helper that encodes and re-decodes a
-// TP-matrix through memory, used in tests and the trace tooling.
-func RoundTripBytes(tp *TPMatrix) (*TPMatrix, error) {
-	var buf bytes.Buffer
-	if err := tp.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return DecodeTPMatrix(&buf)
 }
 
 // InjectNoiseStep applies one batch of the paper's noise procedure to the

@@ -44,7 +44,7 @@ func TestDecomposeRejectsNonFinite(t *testing.T) {
 		}
 		mask := mat.NewDense(3, 4)
 		mask.Apply(func(int, int, float64) float64 { return 1 })
-		if _, err := DecomposeMasked(a, mask, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
+		if _, err := NewSolver().DecomposeMasked(a, mask, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: DecomposeMasked err = %v, want ErrNonFinite", name, err)
 		}
 		var nfe *NonFiniteError
@@ -80,7 +80,7 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 		return v
 	})
 
-	res, err := DecomposeMasked(holed, mask, IALMOptions{})
+	res, err := NewSolver().DecomposeMasked(holed, mask, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 func TestDecomposeMaskedEdgeCases(t *testing.T) {
 	a, _ := rank1Spiky(4, 9, 3, 0)
 	// Nil mask delegates to IALM.
-	r1, err := DecomposeMasked(a, nil, IALMOptions{})
+	r1, err := NewSolver().DecomposeMasked(a, nil, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDecomposeMaskedEdgeCases(t *testing.T) {
 	// All-ones mask also delegates.
 	ones := mat.NewDense(4, 9)
 	ones.Apply(func(int, int, float64) float64 { return 1 })
-	r3, err := DecomposeMasked(a, ones, IALMOptions{})
+	r3, err := NewSolver().DecomposeMasked(a, ones, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestDecomposeMaskedEdgeCases(t *testing.T) {
 		t.Error("full mask should match DecomposeIALM")
 	}
 	// Empty mask errors.
-	if _, err := DecomposeMasked(a, mat.NewDense(4, 9), IALMOptions{}); !errors.Is(err, ErrEmptyMask) {
+	if _, err := NewSolver().DecomposeMasked(a, mat.NewDense(4, 9), IALMOptions{}); !errors.Is(err, ErrEmptyMask) {
 		t.Errorf("empty mask err = %v", err)
 	}
 	// Dimension mismatch errors.
-	if _, err := DecomposeMasked(a, mat.NewDense(3, 9), IALMOptions{}); err == nil {
+	if _, err := NewSolver().DecomposeMasked(a, mat.NewDense(3, 9), IALMOptions{}); err == nil {
 		t.Error("mask dim mismatch should error")
 	}
 }

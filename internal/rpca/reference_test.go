@@ -67,8 +67,7 @@ func decomposeFullSVT(a *mat.Dense, opts Options) (*Result, error) {
 
 		// Gradient of ½‖A − D − E‖F² w.r.t. (D, E) is (D+E−A, D+E−A);
 		// with Lipschitz constant 2 the step is −½·grad.
-		g := yd.Add(ye)
-		g.SubInPlace(a) // g = Y_D + Y_E − A
+		g := yd.Add(ye).Sub(a) // g = Y_D + Y_E − A
 
 		gd := yd.Sub(g.Scale(0.5))
 		dNext, rank := gd.SVT(mu / 2)

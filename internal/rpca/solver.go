@@ -98,6 +98,7 @@ type apgIter struct {
 // SVT on the low-rank block, soft threshold on the sparse block, iterate
 // rotation and continuation decay. It returns the unnormalized iterate
 // change and the post-SVT rank. Allocation-free after arena binding.
+//
 //netlint:hotpath
 func (it *apgIter) step() (num float64, rank int) {
 	s := it.s
@@ -203,6 +204,7 @@ type ialmIter struct {
 // threshold E-step (mask-confined when masked), residual, multiplier
 // update and penalty growth. Returns the residual Frobenius norm and the
 // post-SVT rank. Allocation-free after arena binding.
+//
 //netlint:hotpath
 func (it *ialmIter) step() (resid float64, rank int) {
 	s := it.s
@@ -325,9 +327,23 @@ func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, tol flo
 	return lambda, mu, muBar, rho, tol, maxIter, normAF, scale, false
 }
 
-// DecomposeMasked runs the missing-entry IALM variant over the arena (see
-// the package-level DecomposeMasked for semantics). The returned matrices
-// are caller-owned.
+// DecomposeMasked solves RPCA with missing entries: given an observation
+// mask Ω (mask cell > 0.5 ⇔ observed), it finds D low-rank and E sparse
+// with P_Ω(A) = P_Ω(D + E), leaving the unobserved entries of A free. This
+// is the IALM iteration with missing-entry projection: each round the
+// unobserved entries of the working matrix are refreshed from the current
+// D + E (so they exert no pull of their own), the sparse component is
+// confined to Ω (no error term can live where nothing was measured), and
+// the multiplier/residual updates only count observed entries.
+//
+// Calibrations with probe gaps use this instead of zero-filling: a zero
+// bandwidth cell fed to the unmasked solver looks like an extreme outlier
+// and corrupts the constant component, whereas the mask lets the low-rank
+// structure interpolate the gap.
+//
+// A nil mask (or an all-ones mask) reduces to DecomposeIALM. The
+// iteration runs over the solver's arena; the returned matrices are
+// caller-owned.
 func (s *Solver) DecomposeMasked(a, mask *mat.Dense, opts IALMOptions) (*Result, error) {
 	if mask == nil {
 		return s.DecomposeIALM(a, opts)

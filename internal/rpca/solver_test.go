@@ -169,8 +169,8 @@ func TestIALMStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSolverMaskedMatchesPackage: reused solver on the masked route agrees
-// with the package function and keeps interpolating gaps.
+// TestSolverMaskedMatchesPackage: a reused solver on the masked route
+// agrees with a fresh one and keeps interpolating gaps.
 func TestSolverMaskedMatchesPackage(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := syntheticTP(rng, 20, 160, 2, 0.03)
@@ -181,7 +181,7 @@ func TestSolverMaskedMatchesPackage(t *testing.T) {
 			md[i] = 1
 		}
 	}
-	fresh, err := DecomposeMasked(a, mask, IALMOptions{MaxIter: 150})
+	fresh, err := NewSolver().DecomposeMasked(a, mask, IALMOptions{MaxIter: 150})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,19 +131,6 @@ func NewStreamingSolver(rows int, opts StreamOptions) (*StreamingSolver, error) 
 	return s, nil
 }
 
-// Rows returns the fixed column height.
-func (s *StreamingSolver) Rows() int { return s.rows }
-
-// Columns returns the number of columns ingested so far.
-func (s *StreamingSolver) Columns() int { return s.ncols }
-
-// Stats returns the work counters, including the shared SVT route stats.
-func (s *StreamingSolver) Stats() StreamStats {
-	st := s.stats
-	st.FullSVDs, st.TruncSVDs = s.solver.SVTStats()
-	return st
-}
-
 // Constant returns a copy of the current per-column constant row estimate
 // P_D: authoritative values from the last resolve for the columns it saw,
 // fast-tier projections for columns appended since.
@@ -151,17 +138,6 @@ func (s *StreamingSolver) Constant() []float64 {
 	out := make([]float64, s.ncols)
 	copy(out, s.constant)
 	return out
-}
-
-// LastResult returns the last authoritative resolve, or nil before the
-// first one. The matrices are owned by the solver's history — treat them
-// as read-only.
-func (s *StreamingSolver) LastResult() *Result { return s.last }
-
-// Matrix materializes the accumulated TP-matrix (rows × Columns()) as a
-// fresh caller-owned Dense.
-func (s *StreamingSolver) Matrix() *mat.Dense {
-	return s.matrixView().Clone()
 }
 
 // matrixView materializes the accumulated matrix row-major into the amat

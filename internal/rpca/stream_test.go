@@ -11,6 +11,14 @@ import (
 	"netconstant/internal/mat"
 )
 
+// streamStats is the solver's work counters, including the shared SVT
+// route stats.
+func streamStats(s *StreamingSolver) StreamStats {
+	st := s.stats
+	st.FullSVDs, st.TruncSVDs = s.solver.SVTStats()
+	return st
+}
+
 // streamTrace builds a synthetic TP-matrix and returns it split as a seed
 // prefix plus the remaining columns in arrival order — the streaming
 // workload: every column shares the same planted constant subspace, with
@@ -93,7 +101,7 @@ func TestStreamingAgreesWithBatch(t *testing.T) {
 			if want := tc.checks + 1; tc.checks > 0 && verified != want {
 				t.Fatalf("ran the oracle %d times, want %d", verified, want)
 			}
-			st := s.Stats()
+			st := streamStats(s)
 			if st.TruncSVDs == 0 {
 				t.Fatal("warm truncated SVT route never engaged — streaming ran cold")
 			}
@@ -125,11 +133,11 @@ func TestStreamingByteIdenticalWhenTruncatedDisabled(t *testing.T) {
 	if _, err := s.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := NewSolver().DecomposeIALM(s.Matrix(), IALMOptions{})
+	batch, err := NewSolver().DecomposeIALM(s.matrixView().Clone(), IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, bd := s.LastResult().D.Data(), batch.D.Data()
+	sd, bd := s.last.D.Data(), batch.D.Data()
 	for i := range sd {
 		if math.Float64bits(sd[i]) != math.Float64bits(bd[i]) {
 			t.Fatalf("D[%d] differs bitwise: %v vs %v", i, sd[i], bd[i])
@@ -154,7 +162,7 @@ func TestStreamingDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.Constant(), s.Stats()
+		return s.Constant(), streamStats(s)
 	}
 	c1, st1 := run()
 	c2, st2 := run()
@@ -187,7 +195,7 @@ func TestStreamingFastTierTracksConstant(t *testing.T) {
 	}
 	// No resolve since seeding: columns past the seed width carry
 	// fast-tier estimates. Batch-decompose the full matrix as the oracle.
-	batch, err := NewSolver().DecomposeIALM(s.Matrix(), IALMOptions{})
+	batch, err := NewSolver().DecomposeIALM(s.matrixView().Clone(), IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +226,7 @@ func TestStreamingResolveCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := streamStats(s)
 	want := 1 + len(rest)/8 // seed resolve + one per 8 appended columns
 	if st.Resolves != want {
 		t.Fatalf("resolves = %d, want %d", st.Resolves, want)
@@ -271,8 +279,8 @@ func TestStreamingCancellation(t *testing.T) {
 	if err := s.Seed(seedM); !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("Seed err = %v, want cancellation", err)
 	}
-	if s.Columns() != 0 {
-		t.Fatalf("cancelled appends still ingested %d columns", s.Columns())
+	if s.ncols != 0 {
+		t.Fatalf("cancelled appends still ingested %d columns", s.ncols)
 	}
 }
 
@@ -291,7 +299,7 @@ func TestStreamingRejectsBadInput(t *testing.T) {
 	if err := s.AppendColumn(make([]float64, 5)); err == nil {
 		t.Fatal("short column did not error")
 	}
-	if s.Columns() != 0 {
+	if s.ncols != 0 {
 		t.Fatal("rejected columns were ingested")
 	}
 	if _, err := s.Resolve(); err == nil {

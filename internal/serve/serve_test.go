@@ -362,7 +362,7 @@ func TestServerMemoSharedAcrossTenants(t *testing.T) {
 		code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/"+id+"/calibrate", "")
 		mustStatus(t, http.StatusOK, code, body)
 	}
-	st := s.MemoStats()
+	st := s.memo.Stats()
 	if st.Hits < 1 {
 		t.Fatalf("twin tenants shared no calibration: %+v", st)
 	}

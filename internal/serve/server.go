@@ -196,9 +196,6 @@ func (s *Server) Quarantined() []string {
 	return ids
 }
 
-// MemoStats exposes the shared calibration memo's effectiveness.
-func (s *Server) MemoStats() cloud.MemoStats { return s.memo.Stats() }
-
 // Drain stops admitting requests: handlers and shard submission refuse
 // with the typed draining error while in-flight work completes. Call
 // before http.Server.Shutdown so keep-alive connections see refusals

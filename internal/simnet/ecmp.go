@@ -48,6 +48,7 @@ func pairHash(src, dst int) uint64 {
 // next hop. BFS scratch lives on the Sim (routing runs on the single
 // event-loop goroutine), so steady-state routing of a cached pair set
 // allocates only the returned path.
+//
 //netlint:hotpath
 func (s *Sim) routeFor(src, dst int) (path []topo.LinkID, multi bool, err error) {
 	t := s.Topo

@@ -33,19 +33,12 @@ type Flow struct {
 	completion *des.Timer
 	done       func(at float64)
 	finished   bool
-	start      float64
 
 	// Scratch used by the incremental allocator within one recompute.
 	newRate float64
 	unfixed bool
 	visited int64 // collectDirty epoch stamp
 }
-
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.finished }
-
-// Start returns the simulated time the flow was submitted.
-func (f *Flow) Start() float64 { return f.start }
 
 // Sim is a flow-level network simulator over a fixed topology.
 type Sim struct {
@@ -158,7 +151,6 @@ func (s *Sim) StartFlow(src, dst int, bytes float64, done func(at float64)) *Flo
 		Bytes: bytes,
 		path:  re.path,
 		done:  done,
-		start: s.Now(),
 	}
 	s.nextID++
 	latency := re.latency

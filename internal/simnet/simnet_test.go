@@ -171,11 +171,8 @@ func TestActiveFlowsAccounting(t *testing.T) {
 	if s.ActiveFlows() != 0 {
 		t.Error("flow should be removed after completion")
 	}
-	if !f.Finished() {
+	if !f.finished {
 		t.Error("finished flag")
-	}
-	if f.Start() != 0 {
-		t.Error("start time")
 	}
 }
 
@@ -206,12 +203,13 @@ func TestPropertyAllFlowsComplete(t *testing.T) {
 			f := s.StartFlow(a, b, 1000+rng.Float64()*1e6, func(float64) { completed++ })
 			flows = append(flows, f)
 		}
-		s.Eng.Run()
+		for s.Eng.Step() {
+		}
 		if completed != len(flows) {
 			t.Fatalf("seed %d: %d/%d flows completed", seed, completed, len(flows))
 		}
 		for _, f := range flows {
-			if !f.Finished() {
+			if !f.finished {
 				t.Fatalf("seed %d: unfinished flow", seed)
 			}
 		}
@@ -332,7 +330,8 @@ func TestDifferentialIncrementalVsGlobal(t *testing.T) {
 			}
 			if s.ActiveFlows() != 0 {
 				// Background flows submitted before Stop may still drain.
-				s.Eng.Run()
+				for s.Eng.Step() {
+				}
 			}
 			if s.verifyErr != nil {
 				t.Fatalf("seed %d topo %d (drain): %v", seed, ti, s.verifyErr)

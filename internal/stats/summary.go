@@ -115,21 +115,6 @@ func TrimmedMean(xs []float64, trim float64) float64 {
 	return Mean(kept)
 }
 
-// GeoMean returns the geometric mean of strictly positive xs.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
 	sorted []float64
@@ -174,9 +159,6 @@ func (c *CDF) Points(k int) [][2]float64 {
 	}
 	return out
 }
-
-// Len returns the number of observations in the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // Histogram bins a sample into nbins equal-width bins over [min,max].
 type Histogram struct {

@@ -71,16 +71,6 @@ func (c *ClosConfig) applyDefaults() {
 	}
 }
 
-// Machines returns the server count the configuration builds.
-func (c ClosConfig) Machines() int {
-	c.applyDefaults()
-	n := c.Leaves * c.ServersPerLeaf
-	if c.Stages == 3 {
-		n *= c.Pods
-	}
-	return n
-}
-
 // NewClos builds the fabric, panicking on an invalid shape; use NewClosE
 // when the configuration comes from external input.
 func NewClos(cfg ClosConfig) *Topology {
@@ -168,8 +158,8 @@ func NewClosE(cfg ClosConfig) (*Topology, error) {
 // Leaf width grows with scale (8, 32, then 64 servers per leaf) and the
 // spine tier is sized at one spine per 16 leaves, clamped to [2, 32], with
 // the default 4:1 oversubscription. The returned configuration builds
-// ceil(machines/serversPerLeaf) full leaves, so Machines() can slightly
-// exceed the request when it is not a multiple of the leaf width.
+// ceil(machines/serversPerLeaf) full leaves, so the built server count can
+// slightly exceed the request when it is not a multiple of the leaf width.
 func ClosShape(machines int) ClosConfig {
 	if machines < 1 {
 		machines = 1
