@@ -66,7 +66,7 @@ func BenchmarkAblationRank1(b *testing.B) {
 			var errSum float64
 			for i := 0; i < b.N; i++ {
 				tp, truth := ablationTP(int64(i), 10, 12)
-				d, err := core.DecomposeTP(tp, rpca.Options{}, m)
+				d, err := core.DecomposeTPWith(rpca.NewSolver(), tp, rpca.Options{}, m)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func BenchmarkAblationRank1(b *testing.B) {
 func BenchmarkAblationNorms(b *testing.B) {
 	tp, _ := ablationTP(1, 10, 12)
 	a := tp.Matrix()
-	res, err := rpca.Decompose(a, rpca.Options{Lambda: 0.316})
+	res, err := rpca.NewSolver().Decompose(a, rpca.Options{Lambda: 0.316})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 			var errSum float64
 			for i := 0; i < b.N; i++ {
 				tp, truth := ablationTP(int64(i), 10, 12)
-				d, err := core.DecomposeTP(tp, rpca.Options{Lambda: lam}, rpca.ExtractMedian)
+				d, err := core.DecomposeTPWith(rpca.NewSolver(), tp, rpca.Options{Lambda: lam}, rpca.ExtractMedian)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -189,7 +189,7 @@ func BenchmarkRPCADecompose196(b *testing.B) {
 	a := mat.RandomNormal(rng, 10, 196*196, 50e6, 5e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rpca.Decompose(a, rpca.Options{Lambda: 0.316}); err != nil {
+		if _, err := rpca.NewSolver().Decompose(a, rpca.Options{Lambda: 0.316}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkRPCADecompose64(b *testing.B) {
 	a := mat.RandomNormal(rng, 10, 64*64, 50e6, 5e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rpca.Decompose(a, rpca.Options{Lambda: 0.316}); err != nil {
+		if _, err := rpca.NewSolver().Decompose(a, rpca.Options{Lambda: 0.316}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func BenchmarkIALMDecompose64(b *testing.B) {
 	a := mat.RandomNormal(rng, 10, 64*64, 50e6, 5e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rpca.DecomposeIALM(a, rpca.IALMOptions{Lambda: 0.316}); err != nil {
+		if _, err := rpca.NewSolver().DecomposeIALM(a, rpca.IALMOptions{Lambda: 0.316}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,7 +49,7 @@ func run() int {
 	flag.Parse()
 
 	opts := chaos.Options{Driver: *driver, Daemon: *daemon, Now: time.Now}
-	oracles := func(p chaos.Plan) []chaos.Failure { return chaos.RunOraclesWith(p, opts) }
+	oracles := func(p chaos.Plan) []chaos.Failure { return chaos.RunOracles(p, opts) }
 
 	if *replay != "" {
 		buf, err := os.ReadFile(*replay)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -113,7 +114,7 @@ func runAdvise(args []string) {
 
 	adv := core.NewAdvisor(cluster, rng, cfg)
 	fmt.Printf("calibrating %d x all-link measurements on %d VMs...\n", *steps, *vms)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		fail(err)
 	}
 	if fc != nil {
@@ -216,7 +217,7 @@ func runReplay(args []string) {
 	rc := cloud.NewReplay(tr)
 	adv := core.NewAdvisor(rc, stats.NewRNG(*seed), core.AdvisorConfig{TimeStep: *steps})
 	tc := cloud.SnapshotTP(rc, *steps, 0)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(context.Background(), tc); err != nil {
 		fail(err)
 	}
 	fmt.Printf("replaying %s: %d snapshots, %d VMs\n", *in, tr.Len(), tr.N)

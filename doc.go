@@ -26,11 +26,11 @@
 //	provider := netconstant.NewProvider(netconstant.ProviderConfig{Seed: 1})
 //	cluster, err := provider.Provision(16, 2)
 //	adv := netconstant.NewAdvisor(cluster, rng, netconstant.AdvisorConfig{})
-//	err = adv.Calibrate()                    // TP-matrix + RPCA
+//	err = adv.CalibrateCtx(ctx)              // TP-matrix + RPCA
 //	fmt.Println(adv.NormE())                 // effectiveness indicator
 //	tree := adv.PlanTree(netconstant.RPCA, 0, 8<<20, nil, nil)
 //
-// See examples/ for five runnable walkthroughs and DESIGN.md for the full
+// See examples/ for seven runnable walkthroughs and DESIGN.md for the full
 // system inventory and experiment index.
 package netconstant
 
@@ -127,7 +127,7 @@ func NewAdvisor(c Cluster, rng *rand.Rand, cfg AdvisorConfig) *Advisor {
 // row-major rows; it returns the low-rank and sparse components as rows.
 func Decompose(rows [][]float64) (lowRank, sparse [][]float64, err error) {
 	a := matFromRows(rows)
-	res, err := rpca.Decompose(a, rpca.Options{})
+	res, err := rpca.NewSolver().Decompose(a, rpca.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package netconstant_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestFacadePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := netconstant.NewAdvisor(cluster, rand.New(rand.NewSource(3)), netconstant.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if adv.NormE() <= 0 {

@@ -15,7 +15,6 @@ import (
 //     never invents its own root context. Roots belong in cmd/* (and in
 //     tests, which the loader excludes); a library function either
 //     receives a ctx or accepts that a nil one means "no cancellation".
-//     Deliberate compat shims carry a //netlint:allow with the reason.
 //
 //   - a function that holds a cancellation handle — a context.Context
 //     parameter, or an options/config parameter whose struct carries an

@@ -106,7 +106,6 @@ var layeringAllowed = map[string][]string{
 	"cmd/netconstant":  {"internal/cli", "internal/cloud", "internal/core", "internal/faults", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 	"cmd/netconstantd": {"internal/cli", "internal/serve"},
 	"cmd/netlint":      {"internal/analysis", "internal/cli"},
-	"cmd/simcluster":   {"internal/cli", "internal/cloud", "internal/core", "internal/mapping", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 }
 
 // layerNormalize reduces an import path to its table key: the suffix

@@ -68,7 +68,7 @@ func CampaignWith(seed int64, rounds, maxOps int, opts Options) Report {
 		rep.Result = append(rep.Result, RoundResult{
 			Round:    r,
 			Plan:     plan,
-			Failures: RunOraclesWith(plan, opts),
+			Failures: RunOracles(plan, opts),
 		})
 	}
 	return rep

@@ -60,12 +60,12 @@ func TestDaemonOracleHolds(t *testing.T) {
 }
 
 // TestRunOraclesWithoutDaemonSkips keeps the zero Options equivalent to
-// RunOracles for the daemon oracle too.
+// the in-process oracles for the daemon oracle too.
 func TestRunOraclesWithoutDaemonSkips(t *testing.T) {
 	p := Plan{Seed: 9, Ops: []Op{{Kind: OpTruncate, N: 1}}}
-	a := RunOracles(p)
-	b := RunOraclesWith(p, Options{})
+	a := inProcessOracles(p)
+	b := RunOracles(p, Options{})
 	if len(a) != len(b) {
-		t.Fatalf("RunOraclesWith(zero Options) = %v, RunOracles = %v", b, a)
+		t.Fatalf("RunOracles(zero Options) = %v, in-process oracles = %v", b, a)
 	}
 }

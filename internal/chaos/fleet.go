@@ -28,7 +28,7 @@ import (
 )
 
 // Options configures the oracles that need outside machinery. The zero
-// value disables them, keeping RunOracles self-contained.
+// value disables them, keeping RunOracles in-process.
 type Options struct {
 	// Driver is the expdriver binary the fleet oracle launches campaign
 	// children with; empty skips the oracle.
@@ -39,19 +39,6 @@ type Options struct {
 	// Daemon is the netconstantd binary the daemon oracle SIGKILLs and
 	// restarts; empty skips the oracle.
 	Daemon string
-}
-
-// RunOraclesWith runs every invariant oracle, including those enabled
-// by opts, against one plan.
-func RunOraclesWith(p Plan, opts Options) []Failure {
-	fails := RunOracles(p)
-	if opts.Driver != "" {
-		fails = append(fails, oracleFleet(p, opts)...)
-	}
-	if opts.Daemon != "" {
-		fails = append(fails, oracleDaemon(p, opts)...)
-	}
-	return fails
 }
 
 // supervisorOps extracts the plan's supervisor-level ops; when it has

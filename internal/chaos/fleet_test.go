@@ -53,14 +53,24 @@ func TestSupervisorOpsDefaultKill(t *testing.T) {
 	}
 }
 
+// inProcessOracles runs the five in-process oracle families directly,
+// bypassing RunOracles.
+func inProcessOracles(p Plan) []Failure {
+	var fails []Failure
+	for _, oracle := range []func(Plan) []Failure{oracleJournal, oracleResume, oracleHealth, oracleStream, oracleClos} {
+		fails = append(fails, oracle(p)...)
+	}
+	return fails
+}
+
 func TestRunOraclesWithoutDriverSkipsFleet(t *testing.T) {
-	// Options' zero value must keep RunOraclesWith equivalent to
-	// RunOracles — no driver, no child processes.
+	// Options' zero value must keep RunOracles equivalent to the five
+	// in-process oracles — no driver, no child processes.
 	p := Plan{Seed: 4, Ops: []Op{{Kind: OpKillChild, N: 1}}}
-	a := RunOracles(p)
-	b := RunOraclesWith(p, Options{})
+	a := inProcessOracles(p)
+	b := RunOracles(p, Options{})
 	if len(a) != len(b) {
-		t.Fatalf("RunOraclesWith(zero Options) = %v, RunOracles = %v", b, a)
+		t.Fatalf("RunOracles(zero Options) = %v, in-process oracles = %v", b, a)
 	}
 }
 

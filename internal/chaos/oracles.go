@@ -36,7 +36,9 @@ func failf(oracle, format string, args ...any) Failure {
 }
 
 // RunOracles checks every invariant oracle against one plan and returns
-// the violations (nil when the system held up). The oracle families:
+// the violations (nil when the system held up). The five in-process
+// families always run; fleet and daemon run only when opts names their
+// binaries (see Options). The in-process families:
 //
 //   - journal: damaged journals (truncation, bit flips, zeroed ranges,
 //     duplicated frames) must recover to a verbatim record prefix or
@@ -59,13 +61,19 @@ func failf(oracle, format string, args ...any) Failure {
 //     byte-identical across mat worker counts 1 and 8 and across
 //     replays, satisfy the max-min invariants, and agree with the
 //     bottleneck-structure backend within 1e-9 relative.
-func RunOracles(p Plan) []Failure {
+func RunOracles(p Plan, opts Options) []Failure {
 	var fails []Failure
 	fails = append(fails, oracleJournal(p)...)
 	fails = append(fails, oracleResume(p)...)
 	fails = append(fails, oracleHealth(p)...)
 	fails = append(fails, oracleStream(p)...)
 	fails = append(fails, oracleClos(p)...)
+	if opts.Driver != "" {
+		fails = append(fails, oracleFleet(p, opts)...)
+	}
+	if opts.Daemon != "" {
+		fails = append(fails, oracleDaemon(p, opts)...)
+	}
 	return fails
 }
 
@@ -389,7 +397,7 @@ func faultedCalibration(p Plan) (healthObs, []Failure) {
 		return healthObs{Err: err.Error()}, []Failure{failf(oracle, "provision: %v", err)}
 	}
 	adv0 := core.NewAdvisor(vc0, stats.NewRNG(p.Seed+9002), advCfg)
-	if err := adv0.Calibrate(); err != nil {
+	if err := adv0.CalibrateCtx(context.Background()); err != nil {
 		return healthObs{Err: err.Error()}, []Failure{failf(oracle, "fault-free calibration failed: %v", err)}
 	}
 	baseCost := adv0.CalibrationCost()
@@ -401,7 +409,7 @@ func faultedCalibration(p Plan) (healthObs, []Failure) {
 	}
 	fc := faults.Wrap(vc, p.Scenario(baseCost, n))
 	adv := core.NewAdvisor(fc, stats.NewRNG(p.Seed+9002), advCfg)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		// A typed, deterministic refusal under extreme faults is within
 		// contract; the determinism comparison below still applies to it
 		// via the error string.

@@ -52,9 +52,9 @@ func TestCalibrateTPCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCalibrateBackgroundUnchanged: a calibration under a context that
-// never ends, and the ctx-less CalibrateTP wrapper, must still return
-// complete traces (byte-compatible with the pre-context code).
+// TestCalibrateBackgroundUnchanged: a calibration and a temporal
+// calibration under a context that never ends must still return complete
+// traces (byte-compatible with the pre-context code).
 func TestCalibrateBackgroundUnchanged(t *testing.T) {
 	vc := cancelTestCluster(t)
 	cal, err := CalibrateCtx(context.Background(), vc, stats.NewRNG(1), CalibrationConfig{})
@@ -62,9 +62,9 @@ func TestCalibrateBackgroundUnchanged(t *testing.T) {
 		t.Fatalf("CalibrateCtx returned no trace: %v", err)
 	}
 	vc2 := cancelTestCluster(t)
-	tc := CalibrateTP(vc2, stats.NewRNG(1), 2, 60, CalibrationConfig{})
-	if tc == nil || len(tc.Steps) != 2 {
-		t.Fatal("CalibrateTP returned no trace")
+	tc, err := CalibrateTPCtx(context.Background(), vc2, stats.NewRNG(1), 2, 60, CalibrationConfig{})
+	if err != nil || tc == nil || len(tc.Steps) != 2 {
+		t.Fatalf("CalibrateTPCtx returned no trace: %v", err)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return CalibrateTP(vc, stats.NewRNG(7), 2, 1, CalibrationConfig{}), nil
+		return CalibrateTPCtx(context.Background(), vc, stats.NewRNG(7), 2, 1, CalibrationConfig{})
 	}
 
 	ownerDone := make(chan error, 1)
@@ -140,7 +140,7 @@ func TestMemoSingleflightStillShared(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return CalibrateTP(vc, stats.NewRNG(7), 1, 0, CalibrationConfig{}), nil
+				return CalibrateTPCtx(context.Background(), vc, stats.NewRNG(7), 1, 0, CalibrationConfig{})
 			})
 			if err != nil {
 				t.Error(err)

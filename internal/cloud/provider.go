@@ -160,17 +160,3 @@ func (p *Provider) Provision(n int, seed int64) (*VirtualCluster, error) {
 	vc := newVirtualCluster(p, hosts, seed)
 	return vc, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -102,7 +102,7 @@ func TestCalibrationDeterminism(t *testing.T) {
 	} {
 		enc := func() []uint64 {
 			vc := provisionTest(t, 6, 90)
-			tc := CalibrateTP(vc, stats.NewRNG(91), 4, 10, cfg)
+			tc := calibrateTP(t, vc, stats.NewRNG(91), 4, 10, cfg)
 			return tpBits(tc.Latency, tc.Bandwidth)
 		}
 		if !reflect.DeepEqual(enc(), enc()) {

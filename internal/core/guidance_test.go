@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -34,7 +35,7 @@ func TestGuidanceCapturesImmutableState(t *testing.T) {
 		t.Error("expected time before calibration should be NaN")
 	}
 
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	g1 := adv.Guidance()
@@ -42,7 +43,7 @@ func TestGuidanceCapturesImmutableState(t *testing.T) {
 		t.Fatalf("calibrated guidance = %+v", g1)
 	}
 	// An observation below both triggers leaves the guidance equal.
-	if trig, err := adv.Observe(1, 1.01); err != nil || trig {
+	if trig, err := adv.ObserveCtx(context.Background(), 1, 1.01); err != nil || trig {
 		t.Fatalf("quiet observe: triggered %v, err %v", trig, err)
 	}
 	if adv.Guidance() != g1 {
@@ -60,10 +61,10 @@ func TestGuidanceCapturesImmutableState(t *testing.T) {
 	lat := slices.Clone(g1.Constant.Latency.Data())
 	bw := slices.Clone(g1.Constant.Bandwth.Data())
 	heur := slices.Clone(g1.Heuristic.Bandwth.Data())
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := adv.BeginStreaming(); err != nil {
+	if err := adv.BeginStreamingCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := adv.PartialResolve(); err != nil {

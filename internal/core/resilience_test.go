@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 	// Fault-free resilient baseline.
 	_, vc := testCluster(t, n, 40)
 	adv0 := NewAdvisor(vc, stats.NewRNG(41), cfg)
-	if err := adv0.Calibrate(); err != nil {
+	if err := adv0.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	truth := vc.TruePerf()
@@ -115,7 +116,7 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 		},
 	})
 	adv := NewAdvisor(fc, stats.NewRNG(41), cfg)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,13 +159,13 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 func TestObserveRegimeChange(t *testing.T) {
 	_, vc := testCluster(t, 6, 50)
 	adv := NewAdvisor(vc, stats.NewRNG(51), AdvisorConfig{Threshold: 1.0})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// rel = 0.2: EWMA tops out at 0.2 < RegimeThreshold (0.5) — never fires.
 	for k := 0; k < 20; k++ {
-		trig, err := adv.Observe(1, 1.2)
+		trig, err := adv.ObserveCtx(context.Background(), 1, 1.2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestObserveRegimeChange(t *testing.T) {
 	// and holds, so the regime detector must fire within a few observations.
 	fired := false
 	for k := 0; k < 15 && !fired; k++ {
-		trig, err := adv.Observe(1, 1.8)
+		trig, err := adv.ObserveCtx(context.Background(), 1, 1.8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,5 +195,44 @@ func TestObserveRegimeChange(t *testing.T) {
 	}
 	if adv.divEWMA != 0 {
 		t.Error("EWMA should reset after re-calibration")
+	}
+}
+
+// TestObserveIgnoresNonFinite: an observation with a non-finite expected
+// or actual time carries no signal. It must not trigger maintenance and
+// must leave the regime tracker untouched, so sustained drift afterwards
+// still fires the regime detector. Degraded guidance reports +Inf as the
+// expected time of trees over unmeasured cells.
+func TestObserveIgnoresNonFinite(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct{ expected, actual float64 }{
+		{math.Inf(1), 1},
+		{1, math.NaN()},
+		{1, math.Inf(1)},
+		{1, math.Inf(-1)},
+	} {
+		_, vc := testCluster(t, 6, 52)
+		adv := NewAdvisor(vc, stats.NewRNG(53), AdvisorConfig{Threshold: 1.0})
+		if err := adv.CalibrateCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		trig, err := adv.ObserveCtx(ctx, c.expected, c.actual)
+		if err != nil || trig {
+			t.Fatalf("Observe(%v, %v) = %v, %v; want no trigger", c.expected, c.actual, trig, err)
+		}
+		if adv.divEWMA != 0 || adv.regimeRun != 0 || adv.Recalibrations() != 0 {
+			t.Fatalf("Observe(%v, %v) touched the tracker: ewma %v run %d recal %d",
+				c.expected, c.actual, adv.divEWMA, adv.regimeRun, adv.Recalibrations())
+		}
+		// rel = 0.7: above RegimeThreshold (0.5), below Threshold (1.0).
+		fired := false
+		for k := 0; k < 50 && !fired; k++ {
+			if fired, err = adv.ObserveCtx(ctx, 1, 1.7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !fired {
+			t.Errorf("after Observe(%v, %v), sustained drift never triggered", c.expected, c.actual)
+		}
 	}
 }

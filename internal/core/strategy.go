@@ -139,7 +139,12 @@ type Decomposition struct {
 	RankD       int
 }
 
-// DecomposeTP runs RPCA on a TP-matrix and extracts the constant row.
+// DecomposeTPWith runs RPCA on a TP-matrix, on a caller-held solver, and
+// extracts the constant row. Holding the solver lets repeated analyses of
+// same-shaped TP-matrices (the advisor re-analyzes after every
+// calibration and the Fig 5 sweep decomposes dozens of prefixes) reuse the
+// iteration arena and warm-started SVT workspace instead of reallocating
+// them; one-off analyses pass rpca.NewSolver().
 //
 // Two deliberate adaptations for temporal performance matrices (documented
 // in DESIGN.md):
@@ -152,15 +157,6 @@ type Decomposition struct {
 //     TE-matrix: N_E = N_A − N_D with N_D the row-constant matrix built
 //     from the extracted row — not the solver's internal E, whose mass
 //     depends on λ.
-func DecomposeTP(tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
-	return DecomposeTPWith(rpca.NewSolver(), tp, opts, extract)
-}
-
-// DecomposeTPWith is DecomposeTP running on a caller-held solver, so
-// repeated analyses of same-shaped TP-matrices (the advisor re-analyzes
-// after every calibration and the Fig 5 sweep decomposes dozens of
-// prefixes) reuse the iteration arena and warm-started SVT workspace
-// instead of reallocating them.
 func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
 	a := tp.Matrix()
 	if opts.Lambda == 0 && a.Rows() > 0 {
@@ -186,7 +182,7 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 // solver (see DecomposeTPWith), over a partially observed TP-matrix and
 // extracts the constant row. mask is the rows×N² observation mask (1 =
 // measured); nil falls back to the fully observed IALM path. The same
-// fat-matrix λ default as DecomposeTP applies, and NormE is evaluated on
+// fat-matrix λ default as DecomposeTPWith applies, and NormE is evaluated on
 // the observed cells only — unobserved cells carry no evidence about the
 // network's dynamism, so counting their (reconstructed) residual would
 // understate it.
@@ -277,7 +273,7 @@ func GradeEffectiveness(normE float64) Effectiveness {
 // oracleRow computes the "oracle" long-term row used by the Fig 5 accuracy
 // sweep: the RPCA constant extracted from the *entire* TP-matrix.
 func oracleRow(tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) ([]float64, error) {
-	d, err := DecomposeTP(tp, opts, extract)
+	d, err := DecomposeTPWith(rpca.NewSolver(), tp, opts, extract)
 	if err != nil {
 		return nil, err
 	}

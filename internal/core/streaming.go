@@ -30,15 +30,11 @@ type streamState struct {
 // open.
 var ErrNotStreaming = errors.New("core: no streaming session — call BeginStreaming after a calibration")
 
-// BeginStreaming opens a streaming session from the last full calibration.
-//
-//netlint:allow cancelflow BeginStreaming is the documented no-cancellation compat shim over BeginStreamingCtx
-func (a *Advisor) BeginStreaming() error { return a.BeginStreamingCtx(context.Background()) }
-
-// BeginStreamingCtx is BeginStreaming with cancellation. The context is
-// retained for the session: it bounds every subsequent column ingestion
-// and partial re-solve, mirroring how long-lived pipelines thread one
-// cancellation scope through their update loops.
+// BeginStreamingCtx opens a streaming session from the last full
+// calibration. The context is retained for the session: it bounds every
+// subsequent column ingestion and partial re-solve, mirroring how
+// long-lived pipelines thread one cancellation scope through their update
+// loops.
 func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if a.lastCal == nil {
 		return errors.New("core: BeginStreaming before any calibration")

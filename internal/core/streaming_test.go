@@ -14,10 +14,10 @@ func streamAdvisor(t *testing.T, n int, cfg AdvisorConfig) *Advisor {
 	t.Helper()
 	_, vc := testCluster(t, n, 40)
 	adv := NewAdvisor(vc, stats.NewRNG(4), cfg)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := adv.BeginStreaming(); err != nil {
+	if err := adv.BeginStreamingCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return adv
@@ -29,7 +29,7 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 		t.Fatal("session not active after BeginStreaming")
 	}
 	// A fresh full calibration supersedes the session.
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if adv.StreamingActive() {
@@ -94,7 +94,7 @@ func TestAdvisorObserveRegimeUsesPartialResolve(t *testing.T) {
 		var err error
 		// 80% persistent divergence: above RegimeThreshold (0.5), below
 		// the 100% spike threshold.
-		triggered, err = adv.Observe(1.0, 1.8)
+		triggered, err = adv.ObserveCtx(context.Background(), 1.0, 1.8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestAdvisorObserveRegimeUsesPartialResolve(t *testing.T) {
 	}
 
 	// A hard spike still forces the full calibrate and closes the session.
-	triggered, err := adv.Observe(1.0, 5.0)
+	triggered, err := adv.ObserveCtx(context.Background(), 1.0, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestAdvisorVerifyStreaming(t *testing.T) {
 func TestAdvisorBeginStreamingErrors(t *testing.T) {
 	_, vc := testCluster(t, 4, 41)
 	adv := NewAdvisor(vc, stats.NewRNG(5), AdvisorConfig{})
-	if err := adv.BeginStreaming(); err == nil {
+	if err := adv.BeginStreamingCtx(context.Background()); err == nil {
 		t.Fatal("BeginStreaming before calibration did not error")
 	}
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancelFn := context.WithCancel(context.Background())

@@ -233,6 +233,3 @@ var strategiesEC2 = []core.Strategy{core.Baseline, core.Heuristics, core.RPCA}
 
 // strategiesSim adds the topology-aware approach available in simulation.
 var strategiesSim = []core.Strategy{core.Baseline, core.TopologyAware, core.Heuristics, core.RPCA}
-
-// meanOf averages a slice.
-func meanOf(xs []float64) float64 { return stats.Mean(xs) }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"netconstant/internal/cloud"
@@ -199,7 +200,7 @@ func ExtCoordinates(cfg Config) (*ExtCoordinatesResult, error) {
 				continue
 			}
 			tw := truth.At(i, j)
-			errsAll = append(errsAll, absF(con.At(i, j)-tw)/tw)
+			errsAll = append(errsAll, math.Abs(con.At(i, j)-tw)/tw)
 		}
 	}
 	rMed := stats.Quantile(sortedCopy(errsAll), 0.5)
@@ -216,13 +217,6 @@ func ExtCoordinates(cfg Config) (*ExtCoordinatesResult, error) {
 	res.Table.AddRow("RPCA constant median error", pct(rMed))
 	res.Table.AddNote("Norm(N_E) = %.3f; Vivaldi assumes a metric space, the cloud's pair-wise performance is not one", e.advisor.NormE())
 	return res, nil
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func sortedCopy(xs []float64) []float64 {
@@ -246,11 +240,11 @@ func ExtSolverAgreement(cfg Config) (*Table, error) {
 	tc := e.advisor.LastCalibration()
 	a := tc.Bandwidth.Matrix()
 	lambda := 0.316
-	apg, err := rpca.Decompose(a, rpca.Options{Lambda: lambda})
+	apg, err := rpca.NewSolver().Decompose(a, rpca.Options{Lambda: lambda})
 	if err != nil {
 		return nil, err
 	}
-	ialm, err := rpca.DecomposeIALM(a, rpca.IALMOptions{Lambda: lambda})
+	ialm, err := rpca.NewSolver().DecomposeIALM(a, rpca.IALMOptions{Lambda: lambda})
 	if err != nil {
 		return nil, err
 	}
@@ -370,12 +364,12 @@ type AccuracyResult struct {
 // track reality within tens of percent, and better for RPCA's schedules
 // (which avoid the congested, hard-to-predict links).
 func AccuracyStudy(cfg Config) (*AccuracyResult, error) {
-	sc := simClusterFor(cfg, 1, 64<<20, 2*cfg.SimVMs, maxI(2, cfg.SimRacks/2), 2500)
+	sc := simClusterFor(cfg, 1, 64<<20, 2*cfg.SimVMs, max(2, cfg.SimRacks/2), 2500)
 	defer sc.StopBackground()
 	rng := stats.NewRNG(cfg.Seed + 2501)
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{TimeStep: cfg.TimeStep})
 	tc := cloudSnapshotTP(sc, cfg.TimeStep)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 
@@ -392,7 +386,7 @@ func AccuracyStudy(cfg Config) (*AccuracyResult, error) {
 			estimated := mpi.RunCollective(mpi.NewAnalyticNet(snapPerf), tree, mpi.Broadcast, cfg.MsgBytes)
 			measured := mpi.RunCollective(net, tree, mpi.Broadcast, cfg.MsgBytes)
 			if measured > 0 {
-				diffs[s.String()] = append(diffs[s.String()], absF(estimated-measured)/measured)
+				diffs[s.String()] = append(diffs[s.String()], math.Abs(estimated-measured)/measured)
 			}
 		}
 	}
@@ -407,13 +401,6 @@ func AccuracyStudy(cfg Config) (*AccuracyResult, error) {
 	}
 	res.Table.AddNote("paper reports 18%% (Baseline) and 9%% (RPCA) average difference on EC2")
 	return res, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // cloudSnapshotTP adapts cloud.SnapshotTP with the 5-second gap the sim

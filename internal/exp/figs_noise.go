@@ -36,7 +36,7 @@ func traceNormE(tr *cloud.Trace, steps int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d, err := core.DecomposeTP(tc.Bandwidth, rpca.Options{}, rpca.ExtractMean)
+	d, err := core.DecomposeTPWith(rpca.NewSolver(), tc.Bandwidth, rpca.Options{}, rpca.ExtractMean)
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +70,7 @@ func TargetNormE(tr *cloud.Trace, steps int, target float64, rng *rand.Rand) (*c
 		if denseSteps < 1 {
 			denseSteps = 1
 		}
-		candidate.InjectNoise(noiseRNG, denseSteps, capF(0.02+0.005*float64(intensity), 0.1), 3)
+		candidate.InjectNoise(noiseRNG, denseSteps, min(0.02+0.005*float64(intensity), 0.1), 3)
 		// Secondary mechanism: correlated congestion bursts inside the
 		// calibration window, which pull a direct per-link average much
 		// further than the robust constant estimate (the RPCA-vs-
@@ -79,8 +79,8 @@ func TargetNormE(tr *cloud.Trace, steps int, target float64, rng *rand.Rand) (*c
 		if burstSpan < 1 {
 			burstSpan = 1
 		}
-		burstP := capF(0.08+0.04*float64(intensity), 0.45)
-		candidate.InjectBursts(noiseRNG, burstP, 0, steps-burstSpan/2, burstSpan, capF(2*float64(intensity), 10))
+		burstP := min(0.08+0.04*float64(intensity), 0.45)
+		candidate.InjectBursts(noiseRNG, burstP, 0, steps-burstSpan/2, burstSpan, min(2*float64(intensity), 10))
 		cur, err = traceNormE(candidate, steps)
 		if err != nil {
 			return nil, 0, err
@@ -105,7 +105,7 @@ func runReplay(cfg Config, tr *cloud.Trace, rng *rand.Rand) (*replayStudy, error
 	if err != nil {
 		return nil, err
 	}
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 	st := &replayStudy{NormE: adv.NormE(), Elapsd: map[core.Strategy]map[string][]float64{}}
@@ -326,7 +326,7 @@ func Fig11Detailed(cfg Config) (*Fig11Result, error) {
 		res.Normalized[s] = map[string]float64{}
 		row := []string{s.String()}
 		for _, app := range []string{"broadcast", "scatter", "mapping"} {
-			norm := meanOf(st.Elapsd[s][app]) / meanOf(st.Elapsd[core.Baseline][app])
+			norm := stats.Mean(st.Elapsd[s][app]) / stats.Mean(st.Elapsd[core.Baseline][app])
 			res.Normalized[s][app] = norm
 			row = append(row, f(norm))
 		}
@@ -356,11 +356,4 @@ func noiseProvider() cloud.ProviderConfig {
 		CrossRackMin:  0.45,
 		CrossRackMax:  0.85,
 	}
-}
-
-func capF(v, max float64) float64 {
-	if v > max {
-		return max
-	}
-	return v
 }

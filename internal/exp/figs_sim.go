@@ -45,7 +45,7 @@ func simClusterFor(cfg Config, bgLambda, bgBytes float64, bgLinks, hotRacks int,
 // simNormE calibrates the simulated cluster and measures Norm(N_E).
 func simNormE(cfg Config, sc *cloud.SimCluster) (float64, error) {
 	tc := cloud.SnapshotTP(sc, cfg.TimeStep, 5)
-	d, err := core.DecomposeTP(tc.Bandwidth, rpca.Options{}, rpca.ExtractMean)
+	d, err := core.DecomposeTPWith(rpca.NewSolver(), tc.Bandwidth, rpca.Options{}, rpca.ExtractMean)
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +144,7 @@ func Fig13Simulation(cfg Config, bgLambda, bgBytes float64) (*Fig13Result, error
 
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{TimeStep: cfg.TimeStep})
 	tc := cloud.SnapshotTP(sc, cfg.TimeStep, 5)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 
@@ -226,7 +226,7 @@ func Fig13Simulation(cfg Config, bgLambda, bgBytes float64) (*Fig13Result, error
 		res.Normalized[s] = map[string]float64{}
 		row := []string{s.String()}
 		for _, app := range []string{"broadcast", "scatter", "mapping"} {
-			norm := meanOf(elapsed[s][app]) / meanOf(elapsed[core.Baseline][app])
+			norm := stats.Mean(elapsed[s][app]) / stats.Mean(elapsed[core.Baseline][app])
 			res.Normalized[s][app] = norm
 			row = append(row, f(norm))
 		}

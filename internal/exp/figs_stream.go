@@ -72,7 +72,7 @@ func ExtStreaming(cfg Config) (*Table, error) {
 	// spike threshold — must resolve via the warm partial path.
 	triggered := false
 	for i := 0; i < extStreamMaxObserve && !triggered; i++ {
-		if triggered, err = adv.Observe(1.0, 1.8); err != nil {
+		if triggered, err = adv.ObserveCtx(cfg.context(), 1.0, 1.8); err != nil {
 			return nil, err
 		}
 	}

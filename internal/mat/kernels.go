@@ -52,7 +52,7 @@ func MulInto(out, a, b *Dense) {
 		panic("mat: MulInto dimension mismatch")
 	}
 	if work := a.rows * a.cols * b.cols; parGate(work) {
-		grain := maxInt(1, parMinWork/maxInt(1, a.cols*b.cols))
+		grain := max(1, parMinWork/max(1, a.cols*b.cols))
 		parallelFor(a.rows, grain, &mulTask{out: out, a: a, b: b})
 		return
 	}
@@ -96,7 +96,7 @@ func mulATBInto(out, a, b *Dense) {
 		panic("mat: mulATBInto dimension mismatch")
 	}
 	if work := a.rows * a.cols * b.cols; parGate(work) {
-		grain := maxInt(1, parMinWork/maxInt(1, a.rows*b.cols))
+		grain := max(1, parMinWork/max(1, a.rows*b.cols))
 		parallelFor(a.cols, grain, &mulATBTask{out: out, a: a, b: b})
 		return
 	}
@@ -160,7 +160,7 @@ func MulVecInto(out []float64, m *Dense, x []float64) {
 		panic("mat: MulVecInto dimension mismatch")
 	}
 	if parGate(m.rows * m.cols) {
-		grain := maxInt(1, parMinWork/maxInt(1, m.cols))
+		grain := max(1, parMinWork/max(1, m.cols))
 		parallelFor(m.rows, grain, &mulVecTask{m: m, x: x, out: out})
 		return
 	}
@@ -199,7 +199,7 @@ func MulTVecInto(out []float64, m *Dense, x []float64) {
 		panic("mat: MulTVecInto dimension mismatch")
 	}
 	if parGate(m.rows * m.cols) {
-		grain := maxInt(1, parMinWork/maxInt(1, m.rows))
+		grain := max(1, parMinWork/max(1, m.rows))
 		parallelFor(m.cols, grain, &mulTVecTask{m: m, x: x, out: out})
 		return
 	}

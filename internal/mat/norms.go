@@ -103,7 +103,7 @@ func (m *Dense) Rank(tol float64) int {
 		return 0
 	}
 	if tol <= 0 {
-		tol = float64(maxInt(m.rows, m.cols)) * 2.22e-16
+		tol = float64(max(m.rows, m.cols)) * 2.22e-16
 	}
 	thresh := tol * sv[0]
 	r := 0
@@ -113,18 +113,4 @@ func (m *Dense) Rank(tol float64) int {
 		}
 	}
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -117,7 +117,7 @@ func (ws *SVTWorkspace) CarryAcrossWidths(on bool) { ws.carryWidths = on }
 func (ws *SVTWorkspace) rebind(r, c int) {
 	keep := ws.carryWidths && ws.prevRank >= 0 &&
 		(r > c) == (ws.rows > ws.cols) &&
-		minInt(r, c) == minInt(ws.rows, ws.cols)
+		min(r, c) == min(ws.rows, ws.cols)
 	ws.rows, ws.cols = r, c
 	if !keep {
 		ws.Reset()
@@ -139,7 +139,7 @@ func (ws *SVTWorkspace) WarmSubspace() (u []float64, rows, k, prevRank int) {
 	if ws.prevRank < 0 || ws.uk == 0 {
 		return nil, 0, 0, -1
 	}
-	r := minInt(ws.rows, ws.cols)
+	r := min(ws.rows, ws.cols)
 	return ws.uPrev[:r*ws.uk], r, ws.uk, ws.prevRank
 }
 
@@ -255,7 +255,7 @@ func (ws *SVTWorkspace) svtFullFat(out, wm *Dense, tau float64) int {
 	}
 
 	// Warm-start subspace for the next call: leading rank+slack columns.
-	uk := minInt(rank+svtSlack, r)
+	uk := min(rank+svtSlack, r)
 	up := growSlice(&ws.uPrev, r*uk)
 	copyLeadingColumns(up, uk, ev, uk)
 	ws.uk = uk
@@ -303,7 +303,7 @@ func (ws *SVTWorkspace) svtTruncated(out, wm *Dense, tau float64, k int) int {
 
 	// Seed: previous left singular vectors, padded with deterministic
 	// filler columns, orthonormalized.
-	seedCols := minInt(ws.uk, k)
+	seedCols := min(ws.uk, k)
 	for i := 0; i < r; i++ {
 		for l := 0; l < seedCols; l++ {
 			q.data[i*k+l] = ws.uPrev[i*ws.uk+l]
@@ -349,7 +349,7 @@ func (ws *SVTWorkspace) svtTruncated(out, wm *Dense, tau float64, k int) int {
 
 		// Rayleigh–Ritz on span(Q): H = QᵀGQ, H = Ū Λ Ūᵀ, σ = √λ.
 		MulInto(q2, g, q)
-		h := view(&ws.hB, k, k, growSlice(&ws.bbuf, maxInt(k*k, 1)))
+		h := view(&ws.hB, k, k, growSlice(&ws.bbuf, max(k*k, 1)))
 		mulATBInto(h, q, q2)
 		ev := view(&ws.hEv, k, k, growSlice(&ws.evbuf, k*k))
 		vals := growSlice(&ws.vals, k)
@@ -370,7 +370,7 @@ func (ws *SVTWorkspace) svtTruncated(out, wm *Dense, tau float64, k int) int {
 			// Every computed value survived the threshold: components
 			// beyond the block may survive too. Grow and re-iterate (the
 			// current Q warm-starts the bigger block) or fall back.
-			kNew := minInt(2*k, r/2)
+			kNew := min(2*k, r/2)
 			if kNew <= k {
 				return -1
 			}
@@ -393,7 +393,7 @@ func (ws *SVTWorkspace) svtTruncated(out, wm *Dense, tau float64, k int) int {
 		// U = Q·Ū (r×k); warm state keeps rank+slack leading columns.
 		u := view(&ws.hU, r, k, growSlice(&ws.ubuf, r*(r/2+1)))
 		MulInto(u, q, ev)
-		uk := minInt(rank+svtSlack, k)
+		uk := min(rank+svtSlack, k)
 		up := growSlice(&ws.uPrev, r*uk)
 		copyLeadingColumns(up, uk, u, uk)
 		ws.uk = uk
@@ -548,7 +548,7 @@ func (t *reconstructTask) Run(lo, hi int) { reconstructRange(t.out, t.u, t.vt, t
 // len(shat) components, with Vᵀ supplied row-major (k×c).
 func reconstructInto(out, u *Dense, shat []float64, vt *Dense) {
 	if work := len(shat) * out.rows * out.cols; parGate(work) {
-		grain := maxInt(1, parMinWork/maxInt(1, len(shat)*out.cols))
+		grain := max(1, parMinWork/max(1, len(shat)*out.cols))
 		parallelFor(out.rows, grain, &reconstructTask{out: out, u: u, vt: vt, shat: shat})
 		return
 	}

@@ -12,7 +12,7 @@ type QRResult struct {
 // QR computes a thin QR decomposition via Householder reflections.
 func (m *Dense) QR() *QRResult {
 	r, c := m.rows, m.cols
-	k := minInt(r, c)
+	k := min(r, c)
 	a := m.Clone()
 	// Accumulate Q by applying the reflectors to the identity afterwards;
 	// store reflector vectors in-place below the diagonal plus a separate

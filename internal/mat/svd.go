@@ -230,7 +230,7 @@ func (m *Dense) svdJacobi() *SVDResult {
 		t := jacobiPairsTask{w: w, v: v, pairs: pairs, rot: rot, tol: tol}
 		// Pair work: inner products + both rotations, ~(6r + 8r + 8c) flops.
 		pairWork := 14*r + 8*c
-		grain := maxInt(1, parMinWork/pairWork)
+		grain := max(1, parMinWork/pairWork)
 		for sweep := 0; sweep < maxSweeps; sweep++ {
 			rotated := false
 			for k := 0; k < n-1; k++ {

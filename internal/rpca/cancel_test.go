@@ -44,7 +44,7 @@ func TestSolversReturnTypedCancel(t *testing.T) {
 		{"DecomposeIALM", func() (*Result, error) { return s.DecomposeIALM(a, IALMOptions{Ctx: ctx}) }},
 		{"DecomposeMasked", func() (*Result, error) { return s.DecomposeMasked(a, mask, IALMOptions{Ctx: ctx}) }},
 		{"decomposeFullSVT", func() (*Result, error) { return decomposeFullSVT(a, Options{Ctx: ctx}) }},
-		{"package Decompose", func() (*Result, error) { return Decompose(a, Options{Ctx: ctx}) }},
+		{"fresh-solver Decompose", func() (*Result, error) { return NewSolver().Decompose(a, Options{Ctx: ctx}) }},
 	}
 	for _, tc := range cases {
 		res, err := tc.run()

@@ -11,7 +11,7 @@ import (
 func TestIALMExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a, dTrue, eTrue := synth(rng, 40, 40, 2, 0.05, 10)
-	res, err := DecomposeIALM(a, IALMOptions{})
+	res, err := NewSolver().DecomposeIALM(a, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestIALMAgreesWithAPG(t *testing.T) {
 	// decomposition of a well-posed instance.
 	rng := rand.New(rand.NewSource(22))
 	a, _, _ := synth(rng, 25, 30, 2, 0.08, 8)
-	apg, err := Decompose(a, Options{})
+	apg, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ialm, err := DecomposeIALM(a, IALMOptions{})
+	ialm, err := NewSolver().DecomposeIALM(a, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestIALMAgreesWithAPG(t *testing.T) {
 func TestIALMConvergesFasterThanAPG(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a, _, _ := synth(rng, 30, 30, 3, 0.05, 10)
-	apg, err := Decompose(a, Options{})
+	apg, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ialm, err := DecomposeIALM(a, IALMOptions{})
+	ialm, err := NewSolver().DecomposeIALM(a, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestIALMConvergesFasterThanAPG(t *testing.T) {
 func TestIALMSumInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a, _, _ := synth(rng, 15, 20, 2, 0.1, 5)
-	res, err := DecomposeIALM(a, IALMOptions{})
+	res, err := NewSolver().DecomposeIALM(a, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +77,17 @@ func TestIALMSumInvariant(t *testing.T) {
 }
 
 func TestIALMEdgeCases(t *testing.T) {
-	if _, err := DecomposeIALM(mat.NewDense(0, 3), IALMOptions{}); err == nil {
+	if _, err := NewSolver().DecomposeIALM(mat.NewDense(0, 3), IALMOptions{}); err == nil {
 		t.Error("empty should error")
 	}
-	res, err := DecomposeIALM(mat.NewDense(4, 4), IALMOptions{})
+	res, err := NewSolver().DecomposeIALM(mat.NewDense(4, 4), IALMOptions{})
 	if err != nil || !res.Converged {
 		t.Error("zero matrix should converge trivially")
 	}
 	// MaxIter respected.
 	rng := rand.New(rand.NewSource(25))
 	a, _, _ := synth(rng, 10, 10, 2, 0.1, 5)
-	lim, err := DecomposeIALM(a, IALMOptions{MaxIter: 2})
+	lim, err := NewSolver().DecomposeIALM(a, IALMOptions{MaxIter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestIALMConstantRowPipeline(t *testing.T) {
 			}
 		}
 	}
-	apg, _ := Decompose(a, Options{Lambda: 0.316})
-	ialm, _ := DecomposeIALM(a, IALMOptions{Lambda: 0.316})
+	apg, _ := NewSolver().Decompose(a, Options{Lambda: 0.316})
+	ialm, _ := NewSolver().DecomposeIALM(a, IALMOptions{Lambda: 0.316})
 	rowA := ConstantRow(apg.D, ExtractMedian)
 	rowI := ConstantRow(ialm.D, ExtractMedian)
 	if d := RelDiff(rowA, rowI); d > 0.03 {

@@ -36,10 +36,10 @@ func TestDecomposeRejectsNonFinite(t *testing.T) {
 	for name, v := range map[string]float64{"nan": math.NaN(), "inf": math.Inf(1), "-inf": math.Inf(-1)} {
 		a := mat.NewDense(3, 4)
 		a.Set(1, 2, v)
-		if _, err := Decompose(a, Options{}); !errors.Is(err, ErrNonFinite) {
+		if _, err := NewSolver().Decompose(a, Options{}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: Decompose err = %v, want ErrNonFinite", name, err)
 		}
-		if _, err := DecomposeIALM(a, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
+		if _, err := NewSolver().DecomposeIALM(a, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: DecomposeIALM err = %v, want ErrNonFinite", name, err)
 		}
 		mask := mat.NewDense(3, 4)
@@ -48,7 +48,7 @@ func TestDecomposeRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: DecomposeMasked err = %v, want ErrNonFinite", name, err)
 		}
 		var nfe *NonFiniteError
-		_, err := Decompose(a, Options{})
+		_, err := NewSolver().Decompose(a, Options{})
 		if !errors.As(err, &nfe) || nfe.Row != 1 || nfe.Col != 2 {
 			t.Errorf("%s: position %+v", name, nfe)
 		}
@@ -91,7 +91,7 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 
 	// The unmasked solver on the zero-filled matrix must be clearly worse:
 	// every hole is an extreme negative outlier it has to absorb.
-	plain, err := DecomposeIALM(holed, IALMOptions{})
+	plain, err := NewSolver().DecomposeIALM(holed, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDecomposeMaskedEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DecomposeIALM(a, IALMOptions{})
+	r2, err := NewSolver().DecomposeIALM(a, IALMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,19 +54,19 @@ type Result struct {
 	RankD      int // numerical rank of D after the final SVT
 }
 
-// Decompose runs APG RPCA on a. The input is not modified. Inputs with
-// NaN/Inf entries are rejected with an error unwrapping to ErrNonFinite.
-//
-// Each call builds a throwaway Solver; callers decomposing many
-// same-shaped matrices should hold a Solver and call its Decompose to
-// reuse the iteration arena and the warm-started SVT workspace.
-func Decompose(a *mat.Dense, opts Options) (*Result, error) {
-	return NewSolver().Decompose(a, opts)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// IALMOptions configures the Inexact Augmented Lagrange Multiplier solver
+// (Lin, Chen & Ma — the other standard RPCA algorithm from the sample-code
+// collection the paper cites). The zero value selects the published
+// defaults: λ = 1/√max(r,c), μ₀ = 1.25/‖A‖₂, ρ = 1.5, tol = 1e-7,
+// 1000 iterations max.
+type IALMOptions struct {
+	Lambda  float64
+	Mu0     float64
+	Rho     float64
+	Tol     float64
+	MaxIter int
+	// Ctx, when non-nil, is checked once per iteration: a cancelled
+	// context aborts the solve with a *cancel.Error (matching
+	// cancel.ErrCanceled). Nil means "never cancel".
+	Ctx context.Context
 }

@@ -34,7 +34,7 @@ func synth(rng *rand.Rand, r, c, rank int, density, amplitude float64) (a, d, e 
 func TestDecomposeExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, dTrue, eTrue := synth(rng, 40, 40, 2, 0.05, 10)
-	res, err := Decompose(a, Options{})
+	res, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDecomposeRank1TPStyle(t *testing.T) {
 			}
 		}
 	}
-	res, err := Decompose(a, Options{})
+	res, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDecomposeSumInvariant(t *testing.T) {
 	// D + E must approximate A tightly after convergence.
 	rng := rand.New(rand.NewSource(3))
 	a, _, _ := synth(rng, 20, 30, 3, 0.1, 5)
-	res, err := Decompose(a, Options{})
+	res, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDecomposeSumInvariant(t *testing.T) {
 }
 
 func TestDecomposeZeroMatrix(t *testing.T) {
-	res, err := Decompose(mat.NewDense(5, 5), Options{})
+	res, err := NewSolver().Decompose(mat.NewDense(5, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDecomposeZeroMatrix(t *testing.T) {
 }
 
 func TestDecomposeEmpty(t *testing.T) {
-	if _, err := Decompose(mat.NewDense(0, 5), Options{}); err == nil {
+	if _, err := NewSolver().Decompose(mat.NewDense(0, 5), Options{}); err == nil {
 		t.Error("empty matrix should error")
 	}
 }
@@ -117,7 +117,7 @@ func TestDecomposeEmpty(t *testing.T) {
 func TestDecomposeMaxIter(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, _, _ := synth(rng, 15, 15, 2, 0.1, 5)
-	res, err := Decompose(a, Options{MaxIter: 2})
+	res, err := NewSolver().Decompose(a, Options{MaxIter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDecomposeCustomLambda(t *testing.T) {
 	// Large lambda forces E towards zero; D absorbs everything.
 	rng := rand.New(rand.NewSource(5))
 	a, _, _ := synth(rng, 12, 12, 2, 0.1, 5)
-	res, err := Decompose(a, Options{Lambda: 100})
+	res, err := NewSolver().Decompose(a, Options{Lambda: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRPCAPaperExample(t *testing.T) {
 	// Calibration noise: a couple of interference spikes.
 	a.Set(1, 1*4+2, 9) // link (1,2) spiked during calibration 1
 	a.Set(3, 2*4+3, 7) // link (2,3) spiked during calibration 3
-	res, err := Decompose(a, Options{})
+	res, err := NewSolver().Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPropertyBeatsSingleMeasurement(t *testing.T) {
 				}
 			}
 		}
-		res, err := Decompose(a, Options{})
+		res, err := NewSolver().Decompose(a, Options{})
 		if err != nil {
 			return false
 		}

@@ -8,11 +8,11 @@ package rpca
 // a handful of fused elementwise kernels and one (usually truncated) SVT
 // into preallocated storage.
 //
-// A Solver is not safe for concurrent use. The package-level functions
-// construct a throwaway Solver per call and remain the convenient entry
-// points; hot paths hold one Solver and reuse it.
+// A Solver is not safe for concurrent use. One-off solves call
+// NewSolver().Decompose; hot paths hold one Solver and reuse it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -81,6 +81,30 @@ func (s *Solver) bind(r, c int) {
 	s.obs = make([]bool, r*c)
 }
 
+// iterate is the one solve loop behind Decompose, DecomposeIALM and
+// DecomposeMasked: it polls ctx before every step (op labels the
+// cancellation), records the iteration count and post-SVT rank, stops
+// when step reports convergence, and returns caller-owned clones of the
+// arena's D and E.
+func (s *Solver) iterate(ctx context.Context, op string, maxIter int, step func() (converged bool, rank int)) (*Result, error) {
+	res := &Result{}
+	for k := 0; k < maxIter; k++ {
+		if err := cancel.Check(ctx, op, k, maxIter); err != nil {
+			return nil, err
+		}
+		converged, rank := step()
+		res.Iterations = k + 1
+		res.RankD = rank
+		if converged {
+			res.Converged = true
+			break
+		}
+	}
+	res.D = s.d.Clone()
+	res.E = s.e.Clone()
+	return res, nil
+}
+
 // --- APG ---------------------------------------------------------------
 
 // apgIter carries the per-solve scalar state of the APG continuation loop;
@@ -92,15 +116,17 @@ type apgIter struct {
 	mu, muBar float64
 	eta       float64
 	t, tPrev  float64
+	den, tol  float64 // converged once the iterate change / den < tol
 }
 
 // step performs one APG iteration: Nesterov extrapolation, gradient step,
 // SVT on the low-rank block, soft threshold on the sparse block, iterate
-// rotation and continuation decay. It returns the unnormalized iterate
-// change and the post-SVT rank. Allocation-free after arena binding.
+// rotation and continuation decay. It reports whether the relative
+// iterate change fell below tol, and the post-SVT rank. Allocation-free
+// after arena binding.
 //
 //netlint:hotpath
-func (it *apgIter) step() (num float64, rank int) {
+func (it *apgIter) step() (converged bool, rank int) {
 	s := it.s
 	beta := (it.tPrev - 1) / it.t
 	mat.MomentumInto(s.yd, s.d, s.dPrev, beta)
@@ -113,18 +139,19 @@ func (it *apgIter) step() (num float64, rank int) {
 	mat.LinComb2Into(s.ye, 1, s.ye, -0.5, s.g)
 	mat.SoftThresholdInto(s.ePrev, s.ye, it.lambda*it.mu/2)
 
-	num = mat.NormFroDiff(s.dPrev, s.d) + mat.NormFroDiff(s.ePrev, s.e)
+	num := mat.NormFroDiff(s.dPrev, s.d) + mat.NormFroDiff(s.ePrev, s.e)
 	s.d, s.dPrev = s.dPrev, s.d
 	s.e, s.ePrev = s.ePrev, s.e
 	it.tPrev, it.t = it.t, (1+math.Sqrt(1+4*it.t*it.t))/2
 	//netlint:allow floatsafe mu/eta/muBar are solver constants seeded from norms of the entry-validated (NaN/Inf-rejected) input
 	it.mu = math.Max(it.eta*it.mu, it.muBar)
-	return num, rank
+	return num/it.den < it.tol, rank
 }
 
-// Decompose runs APG RPCA on a (see the package-level Decompose for the
-// algorithm description). The input is not modified; the returned matrices
-// are owned by the caller, not the arena.
+// Decompose runs APG RPCA on a (see the package comment for the
+// algorithm). The input is not modified; the returned matrices are owned
+// by the caller, not the arena. Inputs with NaN/Inf entries are rejected
+// with an error unwrapping to ErrNonFinite.
 func (s *Solver) Decompose(a *mat.Dense, opts Options) (*Result, error) {
 	r, c := a.Dims()
 	if r == 0 || c == 0 {
@@ -166,47 +193,32 @@ func (s *Solver) Decompose(a *mat.Dense, opts Options) (*Result, error) {
 	s.e.Zero()
 	s.dPrev.Zero()
 	s.ePrev.Zero()
-	den := math.Max(1, a.NormFrobenius())
-	it := apgIter{s: s, a: a, lambda: lambda, mu: mu, muBar: muBar, eta: eta, t: 1, tPrev: 1}
-
-	res := &Result{}
-	for k := 0; k < maxIter; k++ {
-		if err := cancel.Check(opts.Ctx, "rpca.Decompose", k, maxIter); err != nil {
-			return nil, err
-		}
-		num, rank := it.step()
-		res.Iterations = k + 1
-		res.RankD = rank
-		if num/den < tol {
-			res.Converged = true
-			break
-		}
-	}
-	res.D = s.d.Clone()
-	res.E = s.e.Clone()
-	return res, nil
+	it := apgIter{s: s, a: a, lambda: lambda, mu: mu, muBar: muBar, eta: eta, t: 1, tPrev: 1,
+		den: math.Max(1, a.NormFrobenius()), tol: tol}
+	return s.iterate(opts.Ctx, "rpca.Decompose", maxIter, it.step)
 }
 
 // --- IALM --------------------------------------------------------------
 
 // ialmIter carries the scalar state of the IALM loop over the arena.
 type ialmIter struct {
-	s          *Solver
-	a          *mat.Dense // the working data matrix (aObs-filled for masked)
-	lambda     float64
-	mu, muBar  float64
-	rho        float64
-	masked     bool
-	refD, refE *mat.Dense // not owned; aliases of arena slots
+	s         *Solver
+	a         *mat.Dense // the working data matrix (aObs-filled for masked)
+	lambda    float64
+	mu, muBar float64
+	rho       float64
+	masked    bool
+	bound     float64 // converged once the residual norm <= bound
 }
 
 // step performs one IALM iteration against the arena: SVT D-step, soft
 // threshold E-step (mask-confined when masked), residual, multiplier
-// update and penalty growth. Returns the residual Frobenius norm and the
-// post-SVT rank. Allocation-free after arena binding.
+// update and penalty growth. It reports whether the residual Frobenius
+// norm reached bound, and the post-SVT rank. Allocation-free after arena
+// binding.
 //
 //netlint:hotpath
-func (it *ialmIter) step() (resid float64, rank int) {
+func (it *ialmIter) step() (converged bool, rank int) {
 	s := it.s
 	inv := 1 / it.mu
 
@@ -249,11 +261,17 @@ func (it *ialmIter) step() (resid float64, rank int) {
 			}
 		}
 	}
-	return s.z.NormFrobenius(), rank
+	return s.z.NormFrobenius() <= it.bound, rank
 }
 
-// DecomposeIALM runs the inexact-ALM solver on a over the arena (see the
-// package-level DecomposeIALM). The returned matrices are caller-owned.
+// DecomposeIALM solves the RPCA program with the inexact ALM method:
+// each iteration alternates singular value thresholding of A − E + Y/μ
+// and soft thresholding of A − D + Y/μ, then updates the multiplier
+// Y ← Y + μ(A − D − E) and grows μ geometrically. It typically converges
+// in far fewer iterations than APG (each being one SVD), making it a
+// useful cross-check: two independent solvers agreeing on D and E is
+// strong evidence the decomposition is right. The iteration runs over
+// the solver's arena; the returned matrices are caller-owned.
 func (s *Solver) DecomposeIALM(a *mat.Dense, opts IALMOptions) (*Result, error) {
 	r, c := a.Dims()
 	if r == 0 || c == 0 {
@@ -262,7 +280,7 @@ func (s *Solver) DecomposeIALM(a *mat.Dense, opts IALMOptions) (*Result, error) 
 	if err := checkFinite(a); err != nil {
 		return nil, err
 	}
-	lambda, mu, muBar, rho, tol, maxIter, normAF, scale, zero := ialmParams(a, opts)
+	lambda, mu, muBar, rho, bound, maxIter, scale, zero := ialmParams(a, opts)
 	if zero {
 		return &Result{D: mat.NewDense(r, c), E: mat.NewDense(r, c), Converged: true}, nil
 	}
@@ -272,29 +290,14 @@ func (s *Solver) DecomposeIALM(a *mat.Dense, opts IALMOptions) (*Result, error) 
 	s.d.Zero()
 	s.y.CopyFrom(a)
 	s.y.ScaleInPlace(1 / scale)
-	it := ialmIter{s: s, a: a, lambda: lambda, mu: mu, muBar: muBar, rho: rho}
-
-	res := &Result{}
-	for k := 0; k < maxIter; k++ {
-		if err := cancel.Check(opts.Ctx, "rpca.DecomposeIALM", k, maxIter); err != nil {
-			return nil, err
-		}
-		resid, rank := it.step()
-		res.Iterations = k + 1
-		res.RankD = rank
-		if resid <= tol*math.Max(1, normAF) {
-			res.Converged = true
-			break
-		}
-	}
-	res.D = s.d.Clone()
-	res.E = s.e.Clone()
-	return res, nil
+	it := ialmIter{s: s, a: a, lambda: lambda, mu: mu, muBar: muBar, rho: rho, bound: bound}
+	return s.iterate(opts.Ctx, "rpca.DecomposeIALM", maxIter, it.step)
 }
 
 // ialmParams resolves IALM defaults against the (possibly mask-projected)
-// data matrix; zero reports the all-zero input shortcut.
-func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, tol float64, maxIter int, normAF, scale float64, zero bool) {
+// data matrix, including the convergence bound tol·max(1, ‖A‖F) on the
+// residual norm; zero reports the all-zero input shortcut.
+func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, bound float64, maxIter int, scale float64, zero bool) {
 	r, c := a.Dims()
 	lambda = opts.Lambda
 	if lambda <= 0 {
@@ -302,7 +305,7 @@ func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, tol flo
 	}
 	normA2 := a.NormSpectral()
 	if normA2 == 0 {
-		return 0, 0, 0, 0, 0, 0, 0, 0, true
+		return 0, 0, 0, 0, 0, 0, 0, true
 	}
 	mu = opts.Mu0
 	if mu <= 0 {
@@ -313,7 +316,7 @@ func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, tol flo
 	if rho <= 1 {
 		rho = 1.5
 	}
-	tol = opts.Tol
+	tol := opts.Tol
 	if tol <= 0 {
 		tol = 1e-7
 	}
@@ -321,10 +324,10 @@ func ialmParams(a *mat.Dense, opts IALMOptions) (lambda, mu, muBar, rho, tol flo
 	if maxIter <= 0 {
 		maxIter = 1000
 	}
-	normAF = a.NormFrobenius()
+	bound = tol * math.Max(1, a.NormFrobenius())
 	//netlint:allow floatsafe both operands are norms of the entry-validated (NaN/Inf-rejected) input, hence finite
 	scale = math.Max(normA2, a.NormMax()/lambda)
-	return lambda, mu, muBar, rho, tol, maxIter, normAF, scale, false
+	return lambda, mu, muBar, rho, bound, maxIter, scale, false
 }
 
 // DecomposeMasked solves RPCA with missing entries: given an observation
@@ -380,7 +383,7 @@ func (s *Solver) DecomposeMasked(a, mask *mat.Dense, opts IALMOptions) (*Result,
 		return s.DecomposeIALM(a, opts)
 	}
 
-	lambda, mu, muBar, rho, tol, maxIter, normAF, scale, zero := ialmParams(s.aObs, opts)
+	lambda, mu, muBar, rho, bound, maxIter, scale, zero := ialmParams(s.aObs, opts)
 	if zero {
 		return &Result{D: mat.NewDense(r, c), E: mat.NewDense(r, c), Converged: true}, nil
 	}
@@ -390,22 +393,6 @@ func (s *Solver) DecomposeMasked(a, mask *mat.Dense, opts IALMOptions) (*Result,
 	s.y.CopyFrom(s.aObs)
 	s.y.ScaleInPlace(1 / scale)
 	s.fill.CopyFrom(s.aObs) // P_Ω(A) + P_Ωᶜ(D+E), refreshed per iteration
-	it := ialmIter{s: s, a: s.fill, lambda: lambda, mu: mu, muBar: muBar, rho: rho, masked: true}
-
-	res := &Result{}
-	for k := 0; k < maxIter; k++ {
-		if err := cancel.Check(opts.Ctx, "rpca.DecomposeMasked", k, maxIter); err != nil {
-			return nil, err
-		}
-		resid, rank := it.step()
-		res.Iterations = k + 1
-		res.RankD = rank
-		if resid <= tol*math.Max(1, normAF) {
-			res.Converged = true
-			break
-		}
-	}
-	res.D = s.d.Clone()
-	res.E = s.e.Clone()
-	return res, nil
+	it := ialmIter{s: s, a: s.fill, lambda: lambda, mu: mu, muBar: muBar, rho: rho, masked: true, bound: bound}
+	return s.iterate(opts.Ctx, "rpca.DecomposeMasked", maxIter, it.step)
 }

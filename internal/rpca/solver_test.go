@@ -30,18 +30,17 @@ func syntheticTP(rng *rand.Rand, r, c, rank int, spikeFrac float64) *mat.Dense {
 	return a
 }
 
-// TestSolverMatchesPackageFunctions pins the arena solver to the
-// package-level entry points (which are themselves arena-backed now, so
-// this is a reuse-vs-fresh consistency check: a recycled Solver must give
-// the same answers as a throwaway one), and both to the full-SVT
-// reference solver within the repo's 1e-10 agreement bound.
+// TestSolverMatchesPackageFunctions is a reuse-vs-fresh consistency
+// check: a recycled Solver must give the same answers as a fresh
+// NewSolver(), and both must match the full-SVT reference solver within
+// the repo's 1e-10 agreement bound.
 func TestSolverMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver()
 	for trial := 0; trial < 3; trial++ {
 		a := syntheticTP(rng, 24, 256, 3, 0.05)
 
-		fresh, err := Decompose(a, Options{MaxIter: 120})
+		fresh, err := NewSolver().Decompose(a, Options{MaxIter: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +69,7 @@ func TestSolverMatchesPackageFunctions(t *testing.T) {
 			}
 		}
 
-		freshI, err := DecomposeIALM(a, IALMOptions{MaxIter: 120})
+		freshI, err := NewSolver().DecomposeIALM(a, IALMOptions{MaxIter: 120})
 		if err != nil {
 			t.Fatal(err)
 		}

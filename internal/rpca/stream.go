@@ -113,7 +113,6 @@ type StreamingSolver struct {
 	projBuf      []float64 // k-length projection scratch
 	colBuf       []float64 // rows-length cleaned-column scratch
 	sortBuf      []float64 // rows-length extraction scratch
-	constantOld  []float64 // resolve-time snapshot (diagnostics for drift)
 }
 
 // NewStreamingSolver returns a streaming solver for TP-matrices with the
@@ -317,7 +316,6 @@ func (s *StreamingSolver) Resolve() (*Result, error) {
 	s.sinceResolve = 0
 	s.sinceTrack = 0
 	s.stats.Resolves++
-	s.constantOld = append(s.constantOld[:0], s.constant...)
 	s.constant = append(s.constant[:0], ConstantRow(res.D, s.opts.Extract)...)
 	s.trackTau = trackThreshold(res.D, res.RankD)
 	return res, nil
