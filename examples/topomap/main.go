@@ -12,6 +12,7 @@ import (
 	"netconstant/internal/cloud"
 	"netconstant/internal/core"
 	"netconstant/internal/mapping"
+	"netconstant/internal/netmodel"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
@@ -51,11 +52,22 @@ func main() {
 		if err := mapping.ValidatePermutation(assign); err != nil {
 			log.Fatal(err)
 		}
-		elapsed, total := mapping.Cost(task, assign, snap)
+		elapsed, total, err := mapping.CostE(task, assign, snap)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s elapsed %.2f s, total transfer time %.2f s\n", name, elapsed, total)
 	}
 
+	greedy := func(guide *netmodel.PerfMatrix) []int {
+		assign, err := mapping.GreedyMapE(task, mapping.MachineGraphFromPerf(guide))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return assign
+	}
+
 	show("ring (baseline)", mapping.RingMapping(vms))
-	show("greedy + heuristics", mapping.GreedyMap(task, mapping.MachineGraphFromPerf(adv.HeuristicPerf())))
-	show("greedy + RPCA", mapping.GreedyMap(task, mapping.MachineGraphFromPerf(adv.Constant())))
+	show("greedy + heuristics", greedy(adv.HeuristicPerf()))
+	show("greedy + RPCA", greedy(adv.Constant()))
 }

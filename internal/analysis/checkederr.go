@@ -6,12 +6,14 @@ import (
 	"go/types"
 )
 
-// Checkederr guards the typed-error APIs PR 1 introduced precisely so
-// degraded inputs could not pass silently: AddLinkE, RouteE, GreedyMapE,
-// CostE and DecomposeMasked return errors that mean "this matrix/topology
-// is degraded — the number you are about to use is bogus". Discarding one
-// recreates the bug class the E-variants were added to kill (a degraded
-// weight matrix silently yielding a bogus MEL point). Repo-wide it flags:
+// Checkederr guards the typed-error APIs that exist so degraded inputs
+// cannot pass silently: AddLinkE, RouteE, NewClosE, NewFatTreeE,
+// GreedyMapE, CostE and DecomposeMasked return errors that mean "this
+// matrix/topology is degraded — the value you are about to use is bogus"
+// (a nil fabric from a builder, a bogus MEL point from a degraded weight
+// matrix). They are the only entry points for their operations, so a
+// discarded error is the only way to use a bogus result. Repo-wide it
+// flags:
 //
 //   - assignments that blank the error result of those calls
 //     (`v, _ = CostE(...)` when `_` sits in the error slot);
@@ -33,6 +35,8 @@ var Checkederr = &Analyzer{
 var checkedAPIs = map[string]bool{
 	"AddLinkE":        true,
 	"RouteE":          true,
+	"NewClosE":        true,
+	"NewFatTreeE":     true,
 	"GreedyMapE":      true,
 	"CostE":           true,
 	"DecomposeMasked": true,

@@ -25,6 +25,20 @@ func (Topo) AddLinkE(id int) error {
 
 func DecomposeMasked(n int) (int, error) { return n, nil }
 
+func NewClosE(leaves int) (*Topo, error) {
+	if leaves < 1 {
+		return nil, errDegraded
+	}
+	return &Topo{}, nil
+}
+
+func NewFatTreeE(k int) (*Topo, error) {
+	if k%2 != 0 {
+		return nil, errDegraded
+	}
+	return &Topo{}, nil
+}
+
 // Failing constructs.
 
 func badBlankErr(x float64) float64 {
@@ -40,6 +54,15 @@ func badDropped(t Topo) {
 	t.AddLinkE(-1) // want `result of AddLinkE dropped`
 }
 
+func badBlankBuilder() *Topo {
+	t, _ := NewClosE(0) // want `error from NewClosE discarded with _`
+	return t
+}
+
+func badDroppedBuilder() {
+	NewFatTreeE(3) // want `result of NewFatTreeE dropped`
+}
+
 func badDeadBlank(i int) {
 	_ = i // want `dead blank assignment: _ = i has no effect`
 }
@@ -53,6 +76,13 @@ func goodPropagated(x float64) (float64, error) {
 		return 0, err
 	}
 	return v, nil
+}
+
+func goodBuilder() (*Topo, error) {
+	if _, err := NewClosE(2); err != nil {
+		return nil, err
+	}
+	return NewFatTreeE(4)
 }
 
 func goodHandled(t Topo) (int, error) {

@@ -29,7 +29,7 @@ var keepExports = map[string]string{
 	"mat.Dense.Rank":          "reference algebra: other packages' tests check recovered ranks with it",
 	"mat.Random":              "reference algebra: other packages' tests draw their inputs with it",
 	"mpi.Tree.Validate":       "the tree oracle every planner's tests check their output with",
-	"topo.NewFatTree":         "fixture: simnet's differential and allocation tests route their multipath 3-tier fabric through it",
+	"topo.NewFatTreeE":        "fixture: simnet's differential and allocation tests route their multipath 3-tier fabric through it",
 	"analysistest.Run":        "the analyzer tests' fixture driver: a test-support package has only test callers",
 	"analysistest.RunDeps":    "the analyzer tests' fixture driver: a test-support package has only test callers",
 
@@ -39,8 +39,6 @@ var keepExports = map[string]string{
 	"cloud.CalibrationMemo.InvalidateAll": deferred,
 	"cloud.SimCluster.CalibratePaired":    deferred,
 	"core.WeightsTP":                      deferred,
-	"mat.Dense.QR":                        deferred,
-	"mat.LeastSquares":                    deferred,
 	"mat.Dense.TruncateRank":              deferred,
 	"mat.Dense.HardThreshold":             deferred,
 	"mpi.FNFTreeMultiProcess":             deferred,

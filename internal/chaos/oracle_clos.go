@@ -69,12 +69,16 @@ func shardedClosRun(p Plan) (closObs, []Failure) {
 	const oracle = "clos"
 	var fails []Failure
 	rng := rand.New(rand.NewSource(p.Seed + 12000))
-	fabric := topo.NewClos(topo.ClosConfig{
+	fabric, err := topo.NewClosE(topo.ClosConfig{
 		Leaves:         2 + rng.Intn(4),
 		ServersPerLeaf: 2 + rng.Intn(3),
 		Spines:         2 + rng.Intn(3),
 		ServerBps:      1e9 / 8,
 	})
+	if err != nil {
+		fails = append(fails, failf(oracle, "Clos fabric refused: %v", err))
+		return closObs{Err: err.Error()}, fails
+	}
 	s := simnet.New(fabric)
 	s.SetVerifyGlobal(true)
 	srv := fabric.Servers()

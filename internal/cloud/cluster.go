@@ -91,7 +91,14 @@ func (vc *VirtualCluster) pairRand(i, j, salt int) float64 {
 func (vc *VirtualCluster) groundTruthBW(i, j int) float64 {
 	p := vc.provider
 	hi, hj := vc.Hosts[i], vc.Hosts[j]
-	base := p.Topo.BottleneckCapacity(p.Topo.Route(hi, hj))
+	path, err := p.Topo.RouteE(hi, hj)
+	if err != nil {
+		// Hosts are servers of the provider's own connected tree, where
+		// every pair has one shortest path: an error is a broken program
+		// invariant.
+		panic(err)
+	}
+	base := p.Topo.BottleneckCapacity(path)
 	if hi == hj {
 		base = 4 * p.cfg.Tree.IntraRackBps // loop through the hypervisor switch
 		if base == 0 {

@@ -212,7 +212,7 @@ func (e *env) collectiveElapsed(s core.Strategy, op mpi.Collective, root int, sn
 // mappingElapsed evaluates the topology-mapping workload for a strategy:
 // the task graph is mapped with the strategy's machine graph (ring for
 // Baseline) and costed against the instantaneous snapshot.
-func (e *env) mappingElapsed(s core.Strategy, task *mapping.Graph, snapshot *netmodel.PerfMatrix) float64 {
+func (e *env) mappingElapsed(s core.Strategy, task *mapping.Graph, snapshot *netmodel.PerfMatrix) (float64, error) {
 	n := e.cluster.Size()
 	var assign []int
 	switch s {
@@ -220,11 +220,13 @@ func (e *env) mappingElapsed(s core.Strategy, task *mapping.Graph, snapshot *net
 		assign = mapping.RingMapping(n)
 	default:
 		guide := e.advisor.GuidancePerf(s)
-		machine := mapping.MachineGraphFromPerf(guide)
-		assign = mapping.GreedyMap(task, machine)
+		var err error
+		if assign, err = mapping.GreedyMapE(task, mapping.MachineGraphFromPerf(guide)); err != nil {
+			return 0, err
+		}
 	}
-	elapsed, _ := mapping.Cost(task, assign, snapshot)
-	return elapsed
+	elapsed, _, err := mapping.CostE(task, assign, snapshot)
+	return elapsed, err
 }
 
 // strategiesEC2 are the approaches compared on the cloud (no topology

@@ -60,7 +60,10 @@ func ExtClos(cfg Config) (*ExtClosResult, error) {
 	if err := sweepPoints(cfg, "ext-clos", pts, func(i int, _ *rand.Rand) error {
 		machines := scales[i]
 		shape := topo.ClosShape(machines)
-		fabric := topo.NewClos(shape)
+		fabric, err := topo.NewClosE(shape)
+		if err != nil {
+			return err
+		}
 		vms := cfg.SimVMs
 		if vms > machines {
 			vms = machines

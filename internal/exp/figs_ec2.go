@@ -261,10 +261,14 @@ func Fig7Overall(cfg Config) (*Fig7Result, error) {
 		in := inputs[r]
 		ev := make([]fig7Eval, len(strategiesEC2))
 		for si, s := range strategiesEC2 {
+			m, err := e.mappingElapsed(s, in.task, in.snap)
+			if err != nil {
+				return err
+			}
 			ev[si] = fig7Eval{
 				B:  e.collectiveElapsed(s, mpi.Broadcast, in.root, in.snap),
 				Sc: e.collectiveElapsed(s, mpi.Scatter, in.root, in.snap),
-				M:  e.mappingElapsed(s, in.task, in.snap),
+				M:  m,
 			}
 		}
 		evals[r] = ev
@@ -354,7 +358,11 @@ func Fig8ClusterSize(cfg Config) (*Fig8Result, error) {
 			for s := range sums {
 				sums[s]["broadcast"] += e.collectiveElapsed(s, mpi.Broadcast, root, snap)
 				sums[s]["scatter"] += e.collectiveElapsed(s, mpi.Scatter, root, snap)
-				sums[s]["mapping"] += e.mappingElapsed(s, task, snap)
+				m, err := e.mappingElapsed(s, task, snap)
+				if err != nil {
+					return err
+				}
+				sums[s]["mapping"] += m
 			}
 		}
 		imp := func(app string) float64 {

@@ -126,11 +126,16 @@ func runReplay(cfg Config, tr *cloud.Trace, rng *rand.Rand) (*replayStudy, error
 
 			var assign []int
 			if guide := adv.GuidancePerf(s); guide != nil {
-				assign = mapping.GreedyMap(task, mapping.MachineGraphFromPerf(guide))
+				if assign, err = mapping.GreedyMapE(task, mapping.MachineGraphFromPerf(guide)); err != nil {
+					return nil, err
+				}
 			} else {
 				assign = mapping.RingMapping(n)
 			}
-			mel, _ := mapping.Cost(task, assign, snap)
+			mel, _, err := mapping.CostE(task, assign, snap)
+			if err != nil {
+				return nil, err
+			}
 			st.Elapsd[s]["mapping"] = append(st.Elapsd[s]["mapping"], mel)
 		}
 	}

@@ -190,7 +190,10 @@ func Fig13Simulation(cfg Config, bgLambda, bgBytes float64) (*Fig13Result, error
 		for si, s := range strategiesSim {
 			var assign []int
 			if guide := adv.GuidancePerf(s); guide != nil {
-				assign = mapping.GreedyMap(in.task, mapping.MachineGraphFromPerf(guide))
+				var err error
+				if assign, err = mapping.GreedyMapE(in.task, mapping.MachineGraphFromPerf(guide)); err != nil {
+					return fmt.Errorf("fig13 run %d strategy %v: %w", r, s, err)
+				}
 			} else {
 				assign = mapping.RingMapping(n)
 			}

@@ -103,22 +103,12 @@ func RingMapping(n int) []int {
 	return m
 }
 
-// GreedyMap implements the Greedy Heuristic Algorithm of Hoefler & Snir as
-// described in §II-C: start at the heaviest machine vertex, map it to the
-// heaviest task vertex, then repeatedly map the heaviest unmapped machine
-// neighbours of already-mapped machines to the task neighbours with the
-// heaviest connections. It returns assign[task] = machine and requires the
-// two graphs to have equal order.
-func GreedyMap(task, machine *Graph) []int {
-	assign, err := GreedyMapE(task, machine)
-	if err != nil {
-		panic(err)
-	}
-	return assign
-}
-
-// GreedyMapE is the fallible variant of GreedyMap; the error wraps
-// ErrGraphMismatch.
+// GreedyMapE implements the Greedy Heuristic Algorithm of Hoefler & Snir
+// as described in §II-C: start at the heaviest machine vertex, map it to
+// the heaviest task vertex, then repeatedly map the heaviest unmapped
+// machine neighbours of already-mapped machines to the task neighbours
+// with the heaviest connections. It returns assign[task] = machine. The
+// two graphs must have equal order; the error wraps ErrGraphMismatch.
 func GreedyMapE(task, machine *Graph) ([]int, error) {
 	if task.N != machine.N {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrGraphMismatch, task.N, machine.N)
@@ -217,23 +207,20 @@ func neighboursByWeight(g *Graph, v int, skip func(int) bool) []int {
 	return out
 }
 
-// Cost evaluates a mapping against actual link performance: every task
+// CostE evaluates a mapping against actual link performance: every task
 // edge (i, j) becomes a transfer of its data volume over the machine link
 // (assign[i], assign[j]); each machine serializes its transfers
 // (single-port), and the elapsed estimate is the busiest machine's total
-// send time. It returns (elapsed, totalTransferTime).
-func Cost(task *Graph, assign []int, perf *netmodel.PerfMatrix) (elapsed, total float64) {
-	elapsed, total, err := CostE(task, assign, perf)
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, total
-}
-
-// CostE is the fallible variant of Cost; the error wraps ErrBadAssignment.
+// send time. It returns (elapsed, totalTransferTime). The error wraps
+// ErrBadAssignment when assign is not one machine in [0, perf.N) per task.
 func CostE(task *Graph, assign []int, perf *netmodel.PerfMatrix) (elapsed, total float64, err error) {
 	if len(assign) != task.N {
 		return 0, 0, fmt.Errorf("%w: assignment length %d, task order %d", ErrBadAssignment, len(assign), task.N)
+	}
+	for task, m := range assign {
+		if m < 0 || m >= perf.N {
+			return 0, 0, fmt.Errorf("%w: task %d assigned machine %d, %d machines", ErrBadAssignment, task, m, perf.N)
+		}
 	}
 	perNode := make([]float64, perf.N)
 	for i := 0; i < task.N; i++ {

@@ -108,8 +108,8 @@ func TestGreedyMapIsPermutation(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		task := RandomTaskGraph(rng, n, 0.3, 5e6, 10e6)
 		machine := MachineGraphFromPerf(heterogeneousPerf(rng, n))
-		assign := GreedyMap(task, machine)
-		return ValidatePermutation(assign) == nil
+		assign, err := GreedyMapE(task, machine)
+		return err == nil && ValidatePermutation(assign) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -125,14 +125,36 @@ func TestGreedyMapStartsAtHeaviest(t *testing.T) {
 	task := NewGraph(3)
 	task.SetEdge(0, 1, 100)
 	task.SetEdge(1, 2, 100)
-	assign := GreedyMap(task, machine)
+	assign := mustGreedyMap(t, task, machine)
 	if assign[1] != 2 {
 		t.Errorf("heaviest task should map to heaviest machine: %v", assign)
 	}
 }
 
 func TestGreedyMapMismatchPanics(t *testing.T) {
-	mustPanic(t, func() { GreedyMap(NewGraph(2), NewGraph(3)) })
+	if assign, err := GreedyMapE(NewGraph(2), NewGraph(3)); !errors.Is(err, ErrGraphMismatch) || assign != nil {
+		t.Errorf("mismatch: assign %v, err %v", assign, err)
+	}
+}
+
+// mustGreedyMap maps graphs of equal order.
+func mustGreedyMap(t *testing.T, task, machine *Graph) []int {
+	t.Helper()
+	assign, err := GreedyMapE(task, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assign
+}
+
+// mustCost costs a valid assignment.
+func mustCost(t *testing.T, task *Graph, assign []int, perf *netmodel.PerfMatrix) (elapsed, total float64) {
+	t.Helper()
+	elapsed, total, err := CostE(task, assign, perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return elapsed, total
 }
 
 func TestGreedyBeatsRingOnHeterogeneousNetwork(t *testing.T) {
@@ -143,8 +165,8 @@ func TestGreedyBeatsRingOnHeterogeneousNetwork(t *testing.T) {
 		perf := heterogeneousPerf(rng, n)
 		task := RandomTaskGraph(rng, n, 0.2, 5e6, 10e6)
 		machine := MachineGraphFromPerf(perf)
-		ringEl, _ := Cost(task, RingMapping(n), perf)
-		greedyEl, _ := Cost(task, GreedyMap(task, machine), perf)
+		ringEl, _ := mustCost(t, task, RingMapping(n), perf)
+		greedyEl, _ := mustCost(t, task, mustGreedyMap(t, task, machine), perf)
 		ringSum += ringEl
 		greedySum += greedyEl
 	}
@@ -160,16 +182,18 @@ func TestCostModel(t *testing.T) {
 	perf := netmodel.NewPerfMatrix(2)
 	perf.SetLink(0, 1, netmodel.Link{Alpha: 1, Beta: 10})
 	perf.SetLink(1, 0, netmodel.Link{Alpha: 1, Beta: 10})
-	el, total := Cost(task, []int{0, 1}, perf)
+	el, total := mustCost(t, task, []int{0, 1}, perf)
 	if el != 11 || total != 11 {
 		t.Errorf("cost %v/%v", el, total)
 	}
 	// Co-located tasks are free.
-	el2, _ := Cost(task, []int{0, 0}, perf)
+	el2, _ := mustCost(t, task, []int{0, 0}, perf)
 	if el2 != 0 {
 		t.Errorf("co-located cost %v", el2)
 	}
-	mustPanic(t, func() { Cost(task, []int{0}, perf) })
+	if _, _, err := CostE(task, []int{0}, perf); !errors.Is(err, ErrBadAssignment) {
+		t.Errorf("short assignment err = %v", err)
+	}
 }
 
 func TestValidatePermutationErrors(t *testing.T) {
@@ -192,8 +216,8 @@ func TestGreedyDeterministic(t *testing.T) {
 	t2 := RandomTaskGraph(rng2, n, 0.3, 5e6, 10e6)
 	m1 := MachineGraphFromPerf(heterogeneousPerf(rng1, n))
 	m2 := MachineGraphFromPerf(heterogeneousPerf(rng2, n))
-	a1 := GreedyMap(t1, m1)
-	a2 := GreedyMap(t2, m2)
+	a1 := mustGreedyMap(t, t1, m1)
+	a2 := mustGreedyMap(t, t2, m2)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatal("greedy mapping not deterministic")
@@ -211,6 +235,13 @@ func TestTypedErrors(t *testing.T) {
 	if _, _, err := CostE(task, []int{0, 1}, netmodel.NewPerfMatrix(4)); !errors.Is(err, ErrBadAssignment) {
 		t.Errorf("short assignment err = %v", err)
 	}
+	pair := NewGraph(2)
+	pair.SetEdge(0, 1, 1e6)
+	for _, assign := range [][]int{{0, 9}, {-1, 0}, {0, 4}} {
+		if _, _, err := CostE(pair, assign, netmodel.NewPerfMatrix(4)); !errors.Is(err, ErrBadAssignment) {
+			t.Errorf("out-of-range assignment %v err = %v", assign, err)
+		}
+	}
 	if err := ValidatePermutation([]int{0, 0, 1}); !errors.Is(err, ErrBadAssignment) {
 		t.Errorf("duplicate machine err = %v", err)
 	}
@@ -220,13 +251,4 @@ func TestTypedErrors(t *testing.T) {
 	if err := ValidatePermutation([]int{2, 0, 1}); err != nil {
 		t.Errorf("valid permutation err = %v", err)
 	}
-	// Panicking wrappers carry the typed error.
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("GreedyMap should panic on mismatch")
-		} else if err, ok := r.(error); !ok || !errors.Is(err, ErrGraphMismatch) {
-			t.Errorf("panic value %v", r)
-		}
-	}()
-	GreedyMap(task, machine)
 }

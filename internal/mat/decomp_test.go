@@ -203,50 +203,6 @@ func TestRank1MatchesSVD(t *testing.T) {
 	}
 }
 
-func TestQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sh := range [][2]int{{3, 3}, {6, 4}, {4, 6}, {1, 1}, {10, 2}} {
-		a := randMat(rng, sh[0], sh[1])
-		qr := a.QR()
-		rec := qr.Q.Mul(qr.R)
-		if !rec.ApproxEqual(a, 1e-9) {
-			t.Errorf("QR reconstruction failed for %v", sh)
-		}
-		checkOrthonormalCols(t, qr.Q, 1e-9)
-		// R upper triangular.
-		for i := 0; i < qr.R.Rows(); i++ {
-			for j := 0; j < i && j < qr.R.Cols(); j++ {
-				if math.Abs(qr.R.At(i, j)) > 1e-10 {
-					t.Errorf("R not upper triangular at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestQRZeroColumn(t *testing.T) {
-	a := FromRows([][]float64{{0, 1}, {0, 2}, {0, 3}})
-	qr := a.QR()
-	if !qr.Q.Mul(qr.R).ApproxEqual(a, 1e-9) {
-		t.Error("QR with zero column")
-	}
-}
-
-func TestLeastSquares(t *testing.T) {
-	// Overdetermined consistent system.
-	a := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	xTrue := []float64{2, -3}
-	b := a.MulVec(xTrue)
-	x := LeastSquares(a, b)
-	for i := range x {
-		if math.Abs(x[i]-xTrue[i]) > 1e-9 {
-			t.Errorf("lsq x=%v", x)
-		}
-	}
-	mustPanic(t, func() { LeastSquares(NewDense(2, 3), []float64{1, 2}) })
-	mustPanic(t, func() { SolveUpperTriangular(NewDense(2, 2), []float64{1, 2}) })
-}
-
 func TestSoftThreshold(t *testing.T) {
 	m := FromRows([][]float64{{3, -3}, {0.5, -0.5}})
 	s := m.SoftThreshold(1)

@@ -1,8 +1,8 @@
 // Package mat implements the dense linear algebra needed by the RPCA solver:
 // matrices, basic operations, norms, symmetric eigendecomposition (Jacobi),
 // singular value decomposition (one-sided Jacobi plus a Gram-matrix route
-// for very fat matrices such as temporal performance matrices), Householder
-// QR, and the thresholding operators used by proximal-gradient methods.
+// for very fat matrices such as temporal performance matrices), and the
+// thresholding operators used by proximal-gradient methods.
 //
 // The package is self-contained (stdlib only) and uses float64 throughout.
 // Matrices are stored row-major.

@@ -415,6 +415,9 @@ func TestServerTenantValidation(t *testing.T) {
 	mustStatus(t, http.StatusBadRequest, code, body)
 	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", `{"vms":1}`)
 	mustStatus(t, http.StatusBadRequest, code, body)
+	// 2^62+8 racks × 4 servers would wrap to a capacity of 32 in int64.
+	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", `{"vms":16,"racks":4611686018427387912,"servers_per_rack":4}`)
+	mustStatus(t, http.StatusBadRequest, code, body)
 	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/missing", "")
 	mustStatus(t, http.StatusNotFound, code, body)
 	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", testTenantBody(1))

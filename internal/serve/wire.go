@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 
 	"netconstant/internal/cancel"
@@ -74,6 +75,9 @@ func (c TenantConfig) validate() error {
 	}
 	if c.Racks < 1 || c.ServersPerRack < 1 {
 		return errf("racks and servers_per_rack must be ≥ 1, got %d×%d", c.Racks, c.ServersPerRack)
+	}
+	if c.Racks > math.MaxInt/c.ServersPerRack {
+		return errf("datacenter capacity %d×%d overflows", c.Racks, c.ServersPerRack)
 	}
 	if c.VMs > c.Racks*c.ServersPerRack {
 		return errf("vms %d exceed datacenter capacity %d", c.VMs, c.Racks*c.ServersPerRack)

@@ -11,17 +11,18 @@ import (
 
 // randomFabric builds a small random Clos or fat-tree from the seed rng —
 // multi-path fabrics that exercise ECMP routing and component sharding.
-func randomFabric(rng *rand.Rand) *topo.Topology {
+func randomFabric(t *testing.T, rng *rand.Rand) *topo.Topology {
+	t.Helper()
 	switch rng.Intn(3) {
 	case 0:
-		return topo.NewClos(topo.ClosConfig{
+		return mustClos(t, topo.ClosConfig{
 			Leaves:         2 + rng.Intn(3),
 			ServersPerLeaf: 2 + rng.Intn(2),
 			Spines:         2 + rng.Intn(2),
 			ServerBps:      1e6,
 		})
 	case 1:
-		return topo.NewClos(topo.ClosConfig{
+		return mustClos(t, topo.ClosConfig{
 			Stages:         3,
 			Pods:           2,
 			Leaves:         2,
@@ -31,8 +32,28 @@ func randomFabric(rng *rand.Rand) *topo.Topology {
 			ServerBps:      1e6,
 		})
 	default:
-		return topo.NewFatTree(topo.FatTreeConfig{K: 4, LinkBps: 1e6, HopLatency: 1e-4})
+		return mustFatTree(t, topo.FatTreeConfig{K: 4, LinkBps: 1e6, HopLatency: 1e-4})
 	}
+}
+
+// mustClos builds a Clos fabric the test knows is well shaped.
+func mustClos(t *testing.T, cfg topo.ClosConfig) *topo.Topology {
+	t.Helper()
+	g, err := topo.NewClosE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// mustFatTree builds a fat-tree the test knows is well shaped.
+func mustFatTree(t *testing.T, cfg topo.FatTreeConfig) *topo.Topology {
+	t.Helper()
+	g, err := topo.NewFatTreeE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // loadFabric drives a seeded workload — staggered random pair flows plus
@@ -73,7 +94,7 @@ func loadFabric(tr *topo.Topology, seed int64, verify bool) *Sim {
 // runs the global allocator side by side after every event).
 func TestPropertyShardedByteIdenticalAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		tr := randomFabric(rand.New(rand.NewSource(seed)))
+		tr := randomFabric(t, rand.New(rand.NewSource(seed)))
 		var want uint64
 		for i, workers := range []int{1, 2, 8} {
 			old := mat.SetParallelism(workers)
@@ -101,7 +122,7 @@ func TestPropertyShardedByteIdenticalAcrossWorkers(t *testing.T) {
 // form many independent components, and a RefillAll seeds them all at
 // once.
 func TestManyComponentParallelRefill(t *testing.T) {
-	tr := topo.NewClos(topo.ClosConfig{Leaves: 32, ServersPerLeaf: 4, Spines: 2, ServerBps: 1e6})
+	tr := mustClos(t, topo.ClosConfig{Leaves: 32, ServersPerLeaf: 4, Spines: 2, ServerBps: 1e6})
 	srv := tr.Servers()
 	build := func() *Sim {
 		s := New(tr)
@@ -142,7 +163,7 @@ func TestManyComponentParallelRefill(t *testing.T) {
 // max-min within floating-point tolerance on random fabrics.
 func TestBottleneckBackendAgreesWithMaxMin(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		tr := randomFabric(rand.New(rand.NewSource(seed + 80)))
+		tr := randomFabric(t, rand.New(rand.NewSource(seed+80)))
 		s := loadFabric(tr, seed, false)
 		if rel := s.AllocatorAgreement(); rel > 1e-9 {
 			t.Fatalf("seed %d: backends disagree by %g relative", seed, rel)
@@ -154,7 +175,7 @@ func TestBottleneckBackendAgreesWithMaxMin(t *testing.T) {
 // bit for bit: the fingerprint must not move and unchanged flows must
 // keep their completion timers (the event count stays put).
 func TestRefillAllIsANoOp(t *testing.T) {
-	tr := randomFabric(rand.New(rand.NewSource(3)))
+	tr := randomFabric(t, rand.New(rand.NewSource(3)))
 	s := loadFabric(tr, 3, true)
 	before := s.RateFingerprint()
 	for i := 0; i < 3; i++ {
@@ -172,9 +193,9 @@ func TestRefillAllIsANoOp(t *testing.T) {
 
 // ECMP routing: cached pair paths must be valid shortest paths, stable
 // across simulators, independent of flow order, and must match
-// topo.Route exactly on unique-path topologies.
+// topo.RouteE exactly on unique-path topologies.
 func TestECMPRouting(t *testing.T) {
-	g := topo.NewClos(topo.ClosConfig{Leaves: 4, ServersPerLeaf: 2, Spines: 4, ServerBps: 1e6})
+	g := mustClos(t, topo.ClosConfig{Leaves: 4, ServersPerLeaf: 2, Spines: 4, ServerBps: 1e6})
 	srv := g.Servers()
 	s1, s2 := New(g), New(g)
 	seen := map[topo.LinkID]bool{}
@@ -239,7 +260,7 @@ func TestECMPRouting(t *testing.T) {
 		t.Errorf("ECMP used only %d distinct uplinks", uplinks)
 	}
 
-	// Unique-path topologies: ECMP resolves to exactly topo.Route's path.
+	// Unique-path topologies: ECMP resolves to exactly topo.RouteE's path.
 	tr := topo.NewTree(topo.TreeConfig{Racks: 3, ServersPerRack: 3})
 	st := New(tr)
 	tsrv := tr.Servers()
@@ -248,14 +269,17 @@ func TestECMPRouting(t *testing.T) {
 			if i == j {
 				continue
 			}
-			want := tr.Route(tsrv[i], tsrv[j])
+			want, err := tr.RouteE(tsrv[i], tsrv[j])
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, multi, err := st.routeFor(tsrv[i], tsrv[j])
 			if err != nil || multi || len(got) != len(want) {
 				t.Fatalf("tree route %d->%d: multi=%v err=%v", tsrv[i], tsrv[j], multi, err)
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("tree route %d->%d deviates from topo.Route", tsrv[i], tsrv[j])
+					t.Fatalf("tree route %d->%d deviates from topo.RouteE", tsrv[i], tsrv[j])
 				}
 			}
 		}
@@ -272,9 +296,9 @@ func TestECMPRouting(t *testing.T) {
 
 // Flows on a multipath fabric must actually traverse ECMP-chosen paths:
 // StartFlow panics would surface here if routing refused multi-path
-// pairs the way topo.Route does.
+// pairs the way topo.RouteE does.
 func TestStartFlowAcrossMultipathFabric(t *testing.T) {
-	g := topo.NewClos(topo.ClosConfig{Leaves: 2, ServersPerLeaf: 2, Spines: 2, ServerBps: 100})
+	g := mustClos(t, topo.ClosConfig{Leaves: 2, ServersPerLeaf: 2, Spines: 2, ServerBps: 100})
 	s := New(g)
 	srv := g.Servers()
 	elapsed := s.Transfer(srv[0], srv[2], 100) // cross-leaf

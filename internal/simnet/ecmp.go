@@ -1,7 +1,7 @@
 package simnet
 
 // ECMP multi-path routing. Clos and fat-tree fabrics give most pairs many
-// equal-cost shortest paths, so topo.Route/RouteE refuse them with
+// equal-cost shortest paths, so topo.RouteE refuses them with
 // topo.ErrMultiPath; the simulator resolves every pair itself with
 // equal-cost multi-path hashing, the way data-center switches do:
 //
@@ -13,7 +13,7 @@ package simnet
 //     state — so a pair's path depends only on the topology and the pair
 //     ID. Results are therefore identical at any seed, worker count, or
 //     flow arrival order, and unique-path topologies (trees) resolve to
-//     exactly the path topo.Route returns.
+//     exactly the path topo.RouteE returns.
 //
 // Like real per-destination ECMP, all flows of a pair share one path (the
 // route cache in Sim.StartFlow keys on the pair), concentrating a pair's

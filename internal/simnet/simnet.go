@@ -331,7 +331,7 @@ func (s *Sim) fillSpan(sp compSpan) {
 			}
 			l := s.dirtyLinks[k]
 			share := s.fillCap[k] / float64(s.fillUnfix[k])
-			//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break; shares of equal links are bit-identical quotients and capacities are validated finite at AddLink
+			//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break; shares of equal links are bit-identical quotients and capacities are validated finite at AddLinkE
 			if share < minShare || (share == minShare && l < bestLink) {
 				minShare = share
 				best = k

@@ -289,7 +289,7 @@ func TestDifferentialIncrementalVsGlobal(t *testing.T) {
 	topos := []*topo.Topology{
 		topo.NewTree(topo.TreeConfig{Racks: 3, ServersPerRack: 4, IntraRackBps: 1e6, InterRackBps: 2e6, HopLatency: 1e-4}),
 		topo.NewTree(topo.TreeConfig{Racks: 4, ServersPerRack: 8, IntraRackBps: 1e8, InterRackBps: 4e8, HopLatency: 5e-5}),
-		topo.NewFatTree(topo.FatTreeConfig{K: 4, LinkBps: 1e8, HopLatency: 1e-4}),
+		mustFatTree(t, topo.FatTreeConfig{K: 4, LinkBps: 1e8, HopLatency: 1e-4}),
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		for ti, tr := range topos {

@@ -5,13 +5,13 @@ package topo
 // and pod/super-spine (3-stage) Clos networks of real IaaS data centers so
 // the simulator can be driven at 32k–131k machines. Both are multi-path
 // fabrics: any cross-leaf pair has one equal-cost shortest path per spine
-// (per spine×super-spine pair in the 3-stage form), so Route/RouteE refuse
+// (per spine×super-spine pair in the 3-stage form), so RouteE refuses
 // them with ErrMultiPath and flows must be placed by simnet's ECMP
 // resolver.
 
 import "fmt"
 
-// ClosConfig parameterizes NewClos. The zero value of every field selects
+// ClosConfig parameterizes NewClosE. The zero value of every field selects
 // a default (2 stages, 16 leaves × 32 servers, 4 spines, 1 Gb/s server
 // links, 4:1 oversubscription, 50 µs hops).
 type ClosConfig struct {
@@ -71,20 +71,11 @@ func (c *ClosConfig) applyDefaults() {
 	}
 }
 
-// NewClos builds the fabric, panicking on an invalid shape; use NewClosE
-// when the configuration comes from external input.
-func NewClos(cfg ClosConfig) *Topology {
-	t, err := NewClosE(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // NewClosE builds a 2- or 3-stage Clos fabric. Servers are created leaf by
 // leaf (so Servers() groups by leaf) and each server's Rack is its global
 // leaf index, which keeps rack-oriented consumers (SameRack, hot-rack
-// background placement) meaningful. Errors wrap ErrBadShape.
+// background placement) meaningful. Errors wrap ErrBadShape, or the
+// AddLinkE sentinel for a bad hop latency.
 func NewClosE(cfg ClosConfig) (*Topology, error) {
 	cfg.applyDefaults()
 	switch {

@@ -6,7 +6,10 @@ import (
 )
 
 func TestClosTwoStage(t *testing.T) {
-	g := NewClos(ClosConfig{Leaves: 4, ServersPerLeaf: 3, Spines: 2, Oversubscription: 2, ServerBps: 120})
+	g, err := NewClosE(ClosConfig{Leaves: 4, ServersPerLeaf: 3, Spines: 2, Oversubscription: 2, ServerBps: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := len(g.Servers()); got != 12 {
 		t.Fatalf("servers %d", got)
 	}
@@ -20,7 +23,7 @@ func TestClosTwoStage(t *testing.T) {
 	}
 	srv := g.Servers()
 	// Same-leaf pair: unique 2-hop path through the leaf.
-	if p := g.Route(srv[0], srv[1]); len(p) != 2 {
+	if p := mustRoute(t, g, srv[0], srv[1]); len(p) != 2 {
 		t.Errorf("same-leaf path %d", len(p))
 	}
 	if !g.SameRack(srv[0], srv[2]) || g.SameRack(srv[0], srv[3]) {
@@ -49,7 +52,10 @@ func TestClosTwoStage(t *testing.T) {
 
 func TestClosThreeStage(t *testing.T) {
 	cfg := ClosConfig{Stages: 3, Pods: 2, Leaves: 2, ServersPerLeaf: 2, Spines: 2, SuperSpines: 2}
-	g := NewClos(cfg)
+	g, err := NewClosE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := len(g.Servers()); got != 8 {
 		t.Fatalf("servers %d", got)
 	}
@@ -90,7 +96,9 @@ func TestClosTypedValidation(t *testing.T) {
 			t.Errorf("case %d: err = %v, want ErrBadShape", i, err)
 		}
 	}
-	mustPanic(t, func() { NewClos(ClosConfig{Stages: 7}) })
+	if _, err := NewClosE(ClosConfig{HopLatency: -1}); !errors.Is(err, ErrBadLatency) {
+		t.Errorf("negative latency err = %v, want ErrBadLatency", err)
+	}
 }
 
 func TestClosShape(t *testing.T) {
@@ -131,8 +139,8 @@ func TestIncidentExposesAdjacency(t *testing.T) {
 	a := g.AddNode(Server, 0)
 	b := g.AddNode(Switch, 0)
 	c := g.AddNode(Server, 0)
-	l1 := g.AddLink(a, b, 100, 0)
-	l2 := g.AddLink(b, c, 100, 0)
+	l1 := mustLink(t, g, a, b, 100, 0)
+	l2 := mustLink(t, g, b, c, 100, 0)
 	inc := g.Incident(b)
 	if len(inc) != 2 || inc[0].Link != l1 || inc[0].Peer != a || inc[1].Link != l2 || inc[1].Peer != c {
 		t.Errorf("incident(b) = %+v", inc)

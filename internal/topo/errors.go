@@ -2,21 +2,20 @@ package topo
 
 import "errors"
 
-// Sentinel errors for the fallible topology APIs (AddLinkE, RouteE). The
-// historical AddLink/Route panic wrappers remain for construction-time
-// code where a malformed topology is a programming bug, but callers that
-// build topologies from external input should use the E variants and test
-// with errors.Is.
+// Sentinel errors for the fallible topology APIs (AddLinkE, RouteE,
+// NewClosE, NewFatTreeE). Test for them with errors.Is.
 var (
 	// ErrNodeRange: a node index is outside [0, NumNodes).
 	ErrNodeRange = errors.New("topo: node index out of range")
 	// ErrSelfLink: both link endpoints name the same node.
 	ErrSelfLink = errors.New("topo: self link")
-	// ErrBadCapacity: a link capacity is zero or negative.
-	ErrBadCapacity = errors.New("topo: non-positive capacity")
+	// ErrBadCapacity: a link capacity is zero, negative or not finite.
+	ErrBadCapacity = errors.New("topo: capacity not positive and finite")
+	// ErrBadLatency: a link latency is negative or not finite.
+	ErrBadLatency = errors.New("topo: latency negative or not finite")
 	// ErrNoPath: the endpoints are disconnected.
 	ErrNoPath = errors.New("topo: no path between nodes")
-	// ErrMultiPath: Route/RouteE was asked for "the" shortest path between
+	// ErrMultiPath: RouteE was asked for "the" shortest path between
 	// a pair that has several equal-cost shortest paths (Clos and fat-tree
 	// fabrics). The single-route assumption does not hold there; use an
 	// ECMP-aware router (simnet resolves multi-path pairs with a pure hash

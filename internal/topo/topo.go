@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 )
 
 // NodeKind distinguishes servers from switches.
@@ -67,19 +68,10 @@ func (t *Topology) AddNode(kind NodeKind, rack int) int {
 	return id
 }
 
-// AddLink connects nodes a and b with the given capacity (bytes/s) and
-// latency (s), returning the link ID. It panics on invalid input; use
-// AddLinkE when building from untrusted data.
-func (t *Topology) AddLink(a, b int, capacity, latency float64) LinkID {
-	id, err := t.AddLinkE(a, b, capacity, latency)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-// AddLinkE is the fallible variant of AddLink. Errors wrap ErrNodeRange,
-// ErrSelfLink, or ErrBadCapacity.
+// AddLinkE connects nodes a and b with the given capacity (bytes/s) and
+// latency (s), returning the link ID. Errors wrap ErrNodeRange,
+// ErrSelfLink, ErrBadCapacity (capacity not positive and finite) or
+// ErrBadLatency (latency negative or not finite).
 func (t *Topology) AddLinkE(a, b int, capacity, latency float64) (LinkID, error) {
 	if a < 0 || a >= len(t.nodes) || b < 0 || b >= len(t.nodes) {
 		return 0, fmt.Errorf("%w: link endpoints (%d,%d), %d nodes", ErrNodeRange, a, b, len(t.nodes))
@@ -87,8 +79,11 @@ func (t *Topology) AddLinkE(a, b int, capacity, latency float64) (LinkID, error)
 	if a == b {
 		return 0, fmt.Errorf("%w: node %d", ErrSelfLink, a)
 	}
-	if capacity <= 0 {
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("%w: %g", ErrBadCapacity, capacity)
+	}
+	if !(latency >= 0) || math.IsInf(latency, 1) {
+		return 0, fmt.Errorf("%w: %g", ErrBadLatency, latency)
 	}
 	id := LinkID(len(t.links))
 	t.links = append(t.links, Link{ID: id, A: a, B: b, Capacity: capacity, Latency: latency})
@@ -126,25 +121,13 @@ func (t *Topology) Servers() []int { return t.servers }
 //netlint:hotpath
 func (t *Topology) Incident(id int) []IncidentLink { return t.adj[id] }
 
-// Route returns the sequence of link IDs of THE shortest (hop-count) path
-// from a to b, found by breadth-first search. It is only defined where
-// that path is unique (trees, and same-switch pairs of richer fabrics);
-// on a pair with several equal-cost shortest paths it panics with
-// ErrMultiPath instead of silently picking one — multi-path fabrics must
-// be routed by an ECMP-aware router (see simnet). It returns nil for
-// a == b and also panics on bad endpoints or a disconnected pair; use
-// RouteE when any of those can come from external input.
-func (t *Topology) Route(a, b int) []LinkID {
-	path, err := t.RouteE(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return path
-}
-
-// RouteE is the fallible variant of Route. Errors wrap ErrNodeRange,
-// ErrNoPath, or — when the pair has more than one equal-cost shortest
-// path, so "the" route is ill-defined — ErrMultiPath.
+// RouteE returns the sequence of link IDs of THE shortest (hop-count)
+// path from a to b, found by breadth-first search, or nil for a == b. It
+// is only defined where that path is unique (trees, and same-switch pairs
+// of richer fabrics): on a pair with several equal-cost shortest paths it
+// fails with ErrMultiPath instead of silently picking one — multi-path
+// fabrics must be routed by an ECMP-aware router (see simnet). Other
+// errors wrap ErrNodeRange or ErrNoPath.
 func (t *Topology) RouteE(a, b int) ([]LinkID, error) {
 	if a == b {
 		return nil, nil
@@ -264,19 +247,27 @@ func (c *TreeConfig) applyDefaults() {
 func NewTree(cfg TreeConfig) *Topology {
 	cfg.applyDefaults()
 	t := New()
+	link := func(a, b int, capacity float64) {
+		// The endpoints were just added and every caller sets positive,
+		// finite capacities and latency, so an error here is a broken
+		// program invariant, not bad input.
+		if _, err := t.AddLinkE(a, b, capacity, cfg.HopLatency); err != nil {
+			panic(err)
+		}
+	}
 	core := t.AddNode(Switch, -1)
 	for r := 0; r < cfg.Racks; r++ {
 		sw := t.AddNode(Switch, r)
-		t.AddLink(sw, core, cfg.InterRackBps, cfg.HopLatency)
+		link(sw, core, cfg.InterRackBps)
 		for s := 0; s < cfg.ServersPerRack; s++ {
 			srv := t.AddNode(Server, r)
-			t.AddLink(srv, sw, cfg.IntraRackBps, cfg.HopLatency)
+			link(srv, sw, cfg.IntraRackBps)
 		}
 	}
 	return t
 }
 
-// FatTreeConfig parameterizes NewFatTree. K must be even; the resulting
+// FatTreeConfig parameterizes NewFatTreeE. K must be even; the resulting
 // fabric has K pods, (K/2)² core switches, and K²·K/4 servers.
 type FatTreeConfig struct {
 	K          int     // pod arity (even)
@@ -284,21 +275,11 @@ type FatTreeConfig struct {
 	HopLatency float64
 }
 
-// NewFatTree builds a k-ary fat-tree (Al-Fares et al. style). Inter-pod
+// NewFatTreeE builds a k-ary fat-tree (Al-Fares et al. style). Inter-pod
 // (and some intra-pod) pairs have many equal-cost shortest paths, so
-// Route/RouteE fail with ErrMultiPath on them; route such fabrics through
-// simnet's ECMP resolver. It panics on an invalid arity; use NewFatTreeE
-// when the shape comes from external input.
-func NewFatTree(cfg FatTreeConfig) *Topology {
-	t, err := NewFatTreeE(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// NewFatTreeE is the fallible variant of NewFatTree. Errors wrap
-// ErrBadShape.
+// RouteE fails with ErrMultiPath on them; route such fabrics through
+// simnet's ECMP resolver. Errors wrap ErrBadShape, or the AddLinkE
+// sentinel for a bad link capacity or latency.
 func NewFatTreeE(cfg FatTreeConfig) (*Topology, error) {
 	if cfg.K < 2 || cfg.K%2 != 0 {
 		return nil, fmt.Errorf("%w: fat-tree arity must be even and >= 2, got %d", ErrBadShape, cfg.K)
@@ -330,17 +311,23 @@ func NewFatTreeE(cfg FatTreeConfig) (*Topology, error) {
 		// Aggregation i connects to cores [i*half, (i+1)*half).
 		for i, agg := range aggs {
 			for j := 0; j < half; j++ {
-				t.AddLink(agg, cores[i*half+j], cfg.LinkBps, cfg.HopLatency)
+				if _, err := t.AddLinkE(agg, cores[i*half+j], cfg.LinkBps, cfg.HopLatency); err != nil {
+					return nil, err
+				}
 			}
 			for _, e := range edges {
-				t.AddLink(agg, e, cfg.LinkBps, cfg.HopLatency)
+				if _, err := t.AddLinkE(agg, e, cfg.LinkBps, cfg.HopLatency); err != nil {
+					return nil, err
+				}
 			}
 		}
 		// Each edge switch hosts half servers.
 		for _, e := range edges {
 			for s := 0; s < half; s++ {
 				srv := t.AddNode(Server, pod)
-				t.AddLink(srv, e, cfg.LinkBps, cfg.HopLatency)
+				if _, err := t.AddLinkE(srv, e, cfg.LinkBps, cfg.HopLatency); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

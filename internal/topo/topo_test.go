@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ func TestAddNodesAndLinks(t *testing.T) {
 	g := New()
 	a := g.AddNode(Server, 0)
 	b := g.AddNode(Switch, 0)
-	id := g.AddLink(a, b, 100, 0.001)
+	id := mustLink(t, g, a, b, 100, 0.001)
 	if g.NumNodes() != 2 || g.NumLinks() != 1 {
 		t.Fatal("counts")
 	}
@@ -24,29 +25,50 @@ func TestAddNodesAndLinks(t *testing.T) {
 	}
 }
 
+// TestAddLinkPanics: malformed links are refused with a typed error and
+// leave the topology unchanged.
 func TestAddLinkPanics(t *testing.T) {
 	g := New()
 	a := g.AddNode(Server, 0)
 	b := g.AddNode(Server, 0)
-	mustPanic(t, func() { g.AddLink(a, 99, 1, 0) })
-	mustPanic(t, func() { g.AddLink(a, a, 1, 0) })
-	mustPanic(t, func() { g.AddLink(a, b, 0, 0) })
+	if _, err := g.AddLinkE(a, 99, 1, 0); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("out-of-range err = %v", err)
+	}
+	if _, err := g.AddLinkE(a, a, 1, 0); !errors.Is(err, ErrSelfLink) {
+		t.Errorf("self-link err = %v", err)
+	}
+	if _, err := g.AddLinkE(a, b, 0, 0); !errors.Is(err, ErrBadCapacity) {
+		t.Errorf("capacity err = %v", err)
+	}
+	if g.NumLinks() != 0 {
+		t.Errorf("refused links were added: %d", g.NumLinks())
+	}
 }
 
-func mustPanic(t *testing.T, f func()) {
+// mustLink adds a link the test knows is valid.
+func mustLink(t *testing.T, g *Topology, a, b int, capacity, latency float64) LinkID {
 	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
+	id, err := g.AddLinkE(a, b, capacity, latency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// mustRoute routes a pair the test knows has a unique shortest path.
+func mustRoute(t *testing.T, g *Topology, a, b int) []LinkID {
+	t.Helper()
+	path, err := g.RouteE(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestRouteSameNode(t *testing.T) {
 	g := New()
 	a := g.AddNode(Server, 0)
-	if g.Route(a, a) != nil {
+	if mustRoute(t, g, a, a) != nil {
 		t.Error("route to self should be nil")
 	}
 }
@@ -55,9 +77,12 @@ func TestRouteNoPath(t *testing.T) {
 	g := New()
 	a := g.AddNode(Server, 0)
 	b := g.AddNode(Server, 1)
-	mustPanic(t, func() { g.Route(a, b) })
-	mustPanic(t, func() { g.Route(-1, a) })
-	_ = b
+	if _, err := g.RouteE(a, b); !errors.Is(err, ErrNoPath) {
+		t.Errorf("disconnected err = %v", err)
+	}
+	if _, err := g.RouteE(-1, a); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("range err = %v", err)
+	}
 }
 
 func TestTreeDefaults(t *testing.T) {
@@ -79,7 +104,7 @@ func TestTreeRouting(t *testing.T) {
 	tr := NewTree(TreeConfig{Racks: 2, ServersPerRack: 2, IntraRackBps: 100, InterRackBps: 1000, HopLatency: 0.01})
 	srv := tr.Servers()
 	// Same-rack path: server -> rack switch -> server = 2 links.
-	p := tr.Route(srv[0], srv[1])
+	p := mustRoute(t, tr, srv[0], srv[1])
 	if len(p) != 2 {
 		t.Errorf("same-rack path length %d", len(p))
 	}
@@ -87,7 +112,7 @@ func TestTreeRouting(t *testing.T) {
 		t.Error("same rack")
 	}
 	// Cross-rack: server -> rack -> core -> rack -> server = 4 links.
-	p2 := tr.Route(srv[0], srv[2])
+	p2 := mustRoute(t, tr, srv[0], srv[2])
 	if len(p2) != 4 {
 		t.Errorf("cross-rack path length %d", len(p2))
 	}
@@ -119,7 +144,10 @@ func TestRoutePathValidity(t *testing.T) {
 		if a == b {
 			return true
 		}
-		path := tr.Route(a, b)
+		path, err := tr.RouteE(a, b)
+		if err != nil {
+			return false
+		}
 		cur := a
 		for _, id := range path {
 			l := tr.Link(id)
@@ -140,7 +168,10 @@ func TestRoutePathValidity(t *testing.T) {
 }
 
 func TestFatTree(t *testing.T) {
-	ft := NewFatTree(FatTreeConfig{K: 4})
+	ft, err := NewFatTreeE(FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// k=4: 16 servers, 4 cores, 8 agg, 8 edge.
 	if len(ft.Servers()) != 16 {
 		t.Fatalf("servers %d", len(ft.Servers()))
@@ -153,13 +184,16 @@ func TestFatTree(t *testing.T) {
 		t.Errorf("cross-pod route err = %v, want ErrMultiPath", err)
 	}
 	// Same-edge servers: a unique 2-hop path.
-	if got := len(ft.Route(srv[0], srv[1])); got != 2 {
+	if got := len(mustRoute(t, ft, srv[0], srv[1])); got != 2 {
 		t.Errorf("same-edge path %d", got)
 	}
-	mustPanic(t, func() { NewFatTree(FatTreeConfig{K: 3}) })
-	mustPanic(t, func() { NewFatTree(FatTreeConfig{K: 0}) })
-	if _, err := NewFatTreeE(FatTreeConfig{K: 5}); !errors.Is(err, ErrBadShape) {
-		t.Errorf("odd arity err = %v, want ErrBadShape", err)
+	for _, k := range []int{3, 0, 5} {
+		if _, err := NewFatTreeE(FatTreeConfig{K: k}); !errors.Is(err, ErrBadShape) {
+			t.Errorf("arity %d err = %v, want ErrBadShape", k, err)
+		}
+	}
+	if _, err := NewFatTreeE(FatTreeConfig{K: 4, HopLatency: -1}); !errors.Is(err, ErrBadLatency) {
+		t.Errorf("negative latency err = %v, want ErrBadLatency", err)
 	}
 }
 
@@ -186,21 +220,22 @@ func TestAddLinkETypedErrors(t *testing.T) {
 	if _, err := g.AddLinkE(a, a, 100, 0.001); !errors.Is(err, ErrSelfLink) {
 		t.Errorf("self-link err = %v", err)
 	}
-	if _, err := g.AddLinkE(a, b, 0, 0.001); !errors.Is(err, ErrBadCapacity) {
-		t.Errorf("capacity err = %v", err)
-	}
-	if _, err := g.AddLinkE(a, b, 100, 0.001); err != nil {
-		t.Errorf("valid link err = %v", err)
-	}
-	// The panicking wrapper carries the same typed error.
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("AddLink should panic on self link")
-		} else if err, ok := r.(error); !ok || !errors.Is(err, ErrSelfLink) {
-			t.Errorf("panic value %v", r)
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := g.AddLinkE(a, b, c, 0.001); !errors.Is(err, ErrBadCapacity) {
+			t.Errorf("capacity %v err = %v", c, err)
 		}
-	}()
-	g.AddLink(a, a, 100, 0.001)
+	}
+	for _, l := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := g.AddLinkE(a, b, 100, l); !errors.Is(err, ErrBadLatency) {
+			t.Errorf("latency %v err = %v", l, err)
+		}
+	}
+	if g.NumLinks() != 0 {
+		t.Errorf("refused links were added: %d", g.NumLinks())
+	}
+	if _, err := g.AddLinkE(a, b, 100, 0); err != nil {
+		t.Errorf("valid zero-latency link err = %v", err)
+	}
 }
 
 func TestRouteETypedErrors(t *testing.T) {
@@ -208,7 +243,7 @@ func TestRouteETypedErrors(t *testing.T) {
 	a := g.AddNode(Server, 0)
 	b := g.AddNode(Server, 0)
 	c := g.AddNode(Server, 1)
-	g.AddLink(a, b, 100, 0.001)
+	mustLink(t, g, a, b, 100, 0.001)
 
 	if path, err := g.RouteE(a, a); err != nil || path != nil {
 		t.Errorf("self route: %v %v", path, err)
