@@ -9,6 +9,9 @@ package chaos
 //     trace must answer status and advise probes byte-identically to an
 //     uninterrupted twin — the journal is the state, the process is
 //     disposable;
+//   - a damaged sealed state file is a cache miss, not damage: that
+//     tenant replays its journal and answers byte-identically, and its
+//     neighbors' answers and state files are untouched;
 //   - a damaged tenant journal must quarantine that tenant alone: the
 //     tenant answers with the typed "quarantined" refusal, /healthz
 //     names exactly it, and every neighbor's probes stay byte-identical;
@@ -262,10 +265,61 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 			return
 		}
 
+		// Cache fallback: damage t1's sealed state. A state file is a
+		// cache of the journal's effect, so t1 must answer byte-identically
+		// by replaying its journal, and its neighbors — restored from
+		// their own state files — must be untouched, files included.
+		stateOf := func(id string) string { return filepath.Join(dir, id+".ncstate") }
+		neighbors := []string{tenants[0], tenants[2]}
+		neighborState := make([][]byte, len(neighbors))
+		for i, id := range neighbors {
+			if neighborState[i], err = os.ReadFile(stateOf(id)); err != nil {
+				fails = append(fails, failf(oracle, "drain sealed no state for %s: %v", id, err))
+				return
+			}
+		}
+		img, err := os.ReadFile(stateOf(tenants[1]))
+		if err != nil || len(img) == 0 {
+			fails = append(fails, failf(oracle, "drain sealed no state for %s: %v", tenants[1], err))
+			return
+		}
+		img[len(img)/2] ^= 0x40
+		if err := os.WriteFile(stateOf(tenants[1]), img, 0o644); err != nil {
+			fails = append(fails, failf(oracle, "write damaged state: %v", err))
+			return
+		}
+		dc, err := startDaemon(opts.Daemon, dir)
+		if err != nil {
+			fails = append(fails, failf(oracle, "restart on a damaged state file must replay, not die: %v", err))
+			return
+		}
+		defer dc.kill()
+		replayed, err := dc.probe(tenants)
+		if err != nil {
+			fails = append(fails, failf(oracle, "state-fallback %v", err))
+			return
+		}
+		for _, id := range tenants {
+			if replayed[id] != want[id] {
+				fails = append(fails, failf(oracle,
+					"damaged state file of %s changed the answers of %s:\n--- uninterrupted ---\n%s\n--- after ---\n%s",
+					tenants[1], id, want[id], replayed[id]))
+			}
+		}
+		if err := dc.drain(); err != nil {
+			fails = append(fails, failf(oracle, "state-fallback drain: %v", err))
+			return
+		}
+		for i, id := range neighbors {
+			if after, err := os.ReadFile(stateOf(id)); err != nil || !bytes.Equal(after, neighborState[i]) {
+				fails = append(fails, failf(oracle, "damaged state file of %s disturbed %s's state file (err %v)", tenants[1], id, err))
+			}
+		}
+
 		// Quarantine containment: damage t0's sealed snapshot, restart, and
 		// require a typed per-tenant refusal with untouched neighbors.
 		target := filepath.Join(dir, tenants[0]+".ncsnap")
-		img, err := os.ReadFile(target)
+		img, err = os.ReadFile(target)
 		if err != nil || len(img) == 0 {
 			target = filepath.Join(dir, tenants[0]+".nclog")
 			if img, err = os.ReadFile(target); err != nil {

@@ -297,3 +297,93 @@ func TestStoreCorruptSnapshotTyped(t *testing.T) {
 		t.Fatalf("damaged snapshot error %T is not *CorruptError", err)
 	}
 }
+
+// FuzzStoreRecovery feeds arbitrary snapshot and journal bytes to
+// OpenStore — the snapshot+tail recovery a restarted daemon runs on
+// every tenant. It must never panic and may fail only with a typed
+// corruption error; a store it does open must hold a gap-free history
+// (one record per sequence number, none oversized) that survives an
+// append, a compaction and a reopen unchanged.
+func FuzzStoreRecovery(f *testing.F) {
+	dir := f.TempDir()
+	jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
+	s, err := OpenStore(jp, sp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	read := func(path string) []byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append([]byte(fmt.Sprintf(`{"kind":"op","n":%d}`, i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte(nil), read(jp)) // journal only
+	full := read(jp)             // records 1..3, about to be sealed
+	if err := s.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(read(sp), full) // the crash window: sealed records still in the journal
+	for i := 3; i < 5; i++ {
+		if _, err := s.Append([]byte(fmt.Sprintf(`{"kind":"op","n":%d}`, i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(read(sp), read(jp)) // snapshot plus tail
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, snap, journal []byte) {
+		dir := t.TempDir()
+		jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
+		if err := os.WriteFile(jp, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap != nil {
+			if err := os.WriteFile(sp, snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenStore(jp, sp)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped recovery error %v", err)
+			}
+			return
+		}
+		recs := append([][]byte(nil), s.Records()...)
+		if uint64(len(recs)) != s.Seq() || s.TailRecords() < 0 || s.TailRecords() > len(recs) {
+			t.Fatalf("recovered %d records at sequence %d with tail %d", len(recs), s.Seq(), s.TailRecords())
+		}
+		for i, r := range recs {
+			if len(r) > maxRecord {
+				t.Fatalf("record %d of %d bytes recovered", i, len(r))
+			}
+		}
+		next := []byte("next")
+		if _, err := s.Append(next); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenStore(jp, sp)
+		if err != nil {
+			t.Fatalf("reopen after compaction: %v", err)
+		}
+		defer again.Close()
+		requireRecordPrefix(t, again.Records(), append(recs, next), len(recs)+1, "reopened")
+		if len(again.Records()) != len(recs)+1 {
+			t.Fatalf("reopened store holds %d records, want %d", len(again.Records()), len(recs)+1)
+		}
+	})
+}

@@ -143,6 +143,67 @@ func TestMigrationChangesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestClusterStateRoundTrip: a cluster restored from another's state
+// after migrations — a fresh provisioning with the same config and
+// seeds — holds the same ground truth and draws the same measurements
+// and migrations from then on; a state that does not fit is refused and
+// leaves the cluster unchanged.
+func TestClusterStateRoundTrip(t *testing.T) {
+	cfg := ProviderConfig{Tree: topo.TreeConfig{Racks: 4, ServersPerRack: 4}, Seed: 6, MigrationRate: 1000}
+	vc, _ := NewProvider(cfg).Provision(6, 11)
+	for k := 0; k < 5; k++ {
+		vc.AdvanceTime(3600)
+	}
+	if vc.migrations == 0 {
+		t.Fatal("no migration before the state was taken")
+	}
+	st := vc.State()
+	fresh, _ := NewProvider(cfg).Provision(6, 11)
+	if err := fresh.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.TruePerf().Bandwth.ApproxEqual(vc.TruePerf().Bandwth, 0) {
+		t.Fatal("restored ground truth differs")
+	}
+	for k := 0; k < 5; k++ {
+		vc.AdvanceTime(3600)
+		fresh.AdvanceTime(3600)
+		if a, b := vc.SnapshotPerf(), fresh.SnapshotPerf(); !a.Bandwth.ApproxEqual(b.Bandwth, 0) || !a.Latency.ApproxEqual(b.Latency, 0) {
+			t.Fatalf("step %d: restored cluster measures differently", k)
+		}
+	}
+	if a, b := vc.State(), fresh.State(); a.Draws != b.Draws || a.ProviderDraws != b.ProviderDraws || a.Migrations != b.Migrations {
+		t.Fatalf("streams drifted: %+v vs %+v", a, b)
+	}
+
+	bad := func(edit func(*ClusterState)) ClusterState {
+		c := vc.State()
+		edit(&c)
+		return c
+	}
+	other, _ := NewProvider(cfg).Provision(6, 11)
+	want := other.State()
+	for name, st := range map[string]ClusterState{
+		"host not a server": bad(func(c *ClusterState) { c.Hosts[0] = 0 }),
+		"wrong size":        bad(func(c *ClusterState) { c.Hosts = c.Hosts[1:] }),
+		"stream behind":     bad(func(c *ClusterState) { c.Draws = 0 }),
+		"missing rack pair": bad(func(c *ClusterState) { c.CrossRack = nil }),
+	} {
+		if err := other.Restore(st); err == nil {
+			t.Errorf("%s: restore accepted", name)
+		}
+		if got := other.State(); got.Draws != want.Draws || got.Now != want.Now || got.Hosts[0] != want.Hosts[0] {
+			t.Errorf("%s: refused restore changed the cluster", name)
+		}
+	}
+	shared := NewProvider(cfg)
+	a, _ := shared.Provision(3, 1)
+	shared.Provision(3, 2)
+	if err := a.Restore(a.State()); err == nil {
+		t.Error("restore into a cluster that shares its provider accepted")
+	}
+}
+
 func TestAdvanceTimeNegativePanics(t *testing.T) {
 	p := smallProvider(7)
 	vc, _ := p.Provision(2, 1)

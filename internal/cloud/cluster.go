@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"netconstant/internal/mat"
 	"netconstant/internal/netmodel"
@@ -33,7 +36,8 @@ type Cluster interface {
 type VirtualCluster struct {
 	provider *Provider
 	Hosts    []int // server node per VM
-	rng      *rand.Rand
+	src      *stats.CountingSource
+	rng      *rand.Rand // draws from src
 	now      float64
 
 	vmFactor []float64 // per-VM virtualization bandwidth multiplier
@@ -41,15 +45,16 @@ type VirtualCluster struct {
 	pairLat  *mat.Dense
 
 	migrations     int
-	lastMigCheck   float64
 	freezeDynamics bool
 }
 
 func newVirtualCluster(p *Provider, hosts []int, seed int64) *VirtualCluster {
+	src := stats.NewCountingSource(seed ^ 0x5eed)
 	vc := &VirtualCluster{
 		provider: p,
 		Hosts:    hosts,
-		rng:      stats.NewRNG(seed ^ 0x5eed),
+		src:      src,
+		rng:      rand.New(src),
 		vmFactor: make([]float64, len(hosts)),
 	}
 	for i := range vc.vmFactor {
@@ -250,3 +255,116 @@ func (vc *VirtualCluster) racksUsed() map[int]bool {
 // larger clusters spread over more racks, which is why the paper sees
 // bigger optimization gains at 196 instances than at 64 (Fig 8).
 func (vc *VirtualCluster) RackSpread() int { return len(vc.racksUsed()) }
+
+// ClusterState is a VirtualCluster's mutable state as plain values,
+// together with the part of its provider that the cluster's dynamics
+// move: everything later advances, migrations and measurements depend
+// on. The ground-truth pair tables are not part of it; they are a
+// function of the placement and factors and are rebuilt on restore.
+// The provider's slot occupancy is not part of it either: for the only
+// cluster of a provider it equals the count of Hosts per server.
+type ClusterState struct {
+	Now        float64
+	Hosts      []int     // server node per VM
+	VMFactor   []float64 // per-VM virtualization bandwidth multiplier
+	Migrations int
+	Draws      uint64 // steps the cluster's dynamics stream has taken
+
+	ProviderDraws uint64           // steps the provider's stream has taken
+	CrossRack     []RackPairFactor // the provider's drawn rack-pair factors, sorted by (R1, R2)
+}
+
+// RackPairFactor is one drawn cross-rack oversubscription multiplier.
+type RackPairFactor struct {
+	R1, R2 int // R1 < R2
+	F      float64
+}
+
+// State copies out the cluster's state.
+func (vc *VirtualCluster) State() ClusterState {
+	p := vc.provider
+	st := ClusterState{
+		Now:           vc.now,
+		Hosts:         append([]int(nil), vc.Hosts...),
+		VMFactor:      append([]float64(nil), vc.vmFactor...),
+		Migrations:    vc.migrations,
+		Draws:         vc.src.Draws(),
+		ProviderDraws: p.src.Draws(),
+	}
+	cross := make([]RackPairFactor, 0, len(p.crossFactor))
+	for k, f := range p.crossFactor {
+		cross = append(cross, RackPairFactor{R1: k[0], R2: k[1], F: f})
+	}
+	sort.Slice(cross, func(a, b int) bool {
+		return cross[a].R1 < cross[b].R1 || (cross[a].R1 == cross[b].R1 && cross[a].R2 < cross[b].R2)
+	})
+	st.CrossRack = cross
+	return st
+}
+
+// Restore installs a state State recorded into a cluster freshly
+// provisioned with the same provider config, size and seed, and the only
+// cluster of its provider. Both random streams are fast-forwarded to the
+// recorded positions, so every later draw is bit-identical to the
+// recording cluster's. It refuses a state that does not fit the cluster
+// (size, hosts that are not servers of its data center, overfull
+// servers, streams behind the fresh ones, rack-pair factors that are
+// missing for the placement); the cluster is unchanged then.
+func (vc *VirtualCluster) Restore(st ClusterState) error {
+	p := vc.provider
+	n := len(vc.Hosts)
+	if len(st.Hosts) != n || len(st.VMFactor) != n {
+		return fmt.Errorf("cloud: cluster state for %d/%d VMs, want %d", len(st.Hosts), len(st.VMFactor), n)
+	}
+	if st.Migrations < 0 || st.Draws < vc.src.Draws() || st.ProviderDraws < p.src.Draws() {
+		return errors.New("cloud: cluster state behind a fresh provisioning")
+	}
+	occupied := 0
+	for _, c := range p.used {
+		occupied += c
+	}
+	if occupied != n {
+		return errors.New("cloud: restore into a cluster that shares its provider")
+	}
+	isServer := make(map[int]bool, len(p.servers))
+	racks := 0
+	for _, s := range p.servers {
+		isServer[s] = true
+		racks = max(racks, p.Topo.Node(s).Rack+1)
+	}
+	used := make(map[int]int, n)
+	for vm, h := range st.Hosts {
+		if !isServer[h] {
+			return fmt.Errorf("cloud: cluster state places VM %d on node %d, not a server", vm, h)
+		}
+		used[h]++
+		if used[h] > p.cfg.SlotsPerServer {
+			return fmt.Errorf("cloud: cluster state overfills server %d", h)
+		}
+	}
+	cross := make(map[[2]int]float64, len(st.CrossRack))
+	for _, rf := range st.CrossRack {
+		if rf.R1 < 0 || rf.R1 >= rf.R2 || rf.R2 >= racks {
+			return fmt.Errorf("cloud: cluster state rack pair (%d,%d) outside %d racks", rf.R1, rf.R2, racks)
+		}
+		cross[[2]int{rf.R1, rf.R2}] = rf.F
+	}
+	for _, hi := range st.Hosts {
+		for _, hj := range st.Hosts {
+			ri, rj := p.Topo.Node(hi).Rack, p.Topo.Node(hj).Rack
+			if _, ok := cross[[2]int{min(ri, rj), max(ri, rj)}]; ri != rj && !ok {
+				return fmt.Errorf("cloud: cluster state lacks the factor of rack pair (%d,%d)", ri, rj)
+			}
+		}
+	}
+	vc.now = st.Now
+	copy(vc.Hosts, st.Hosts)
+	copy(vc.vmFactor, st.VMFactor)
+	vc.migrations = st.Migrations
+	vc.src.Skip(st.Draws - vc.src.Draws())
+	p.src.Skip(st.ProviderDraws - p.src.Draws())
+	p.used = used
+	p.crossFactor = cross
+	vc.rebuildGroundTruth()
+	return nil
+}

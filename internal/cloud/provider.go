@@ -94,7 +94,8 @@ func (c *ProviderConfig) applyDefaults() {
 type Provider struct {
 	Topo *topo.Topology
 	cfg  ProviderConfig
-	rng  *rand.Rand
+	src  *stats.CountingSource
+	rng  *rand.Rand // draws from src
 
 	used    map[int]int // server node -> occupied slots
 	servers []int
@@ -107,10 +108,12 @@ type Provider struct {
 func NewProvider(cfg ProviderConfig) *Provider {
 	cfg.applyDefaults()
 	t := topo.NewTree(cfg.Tree)
+	src := stats.NewCountingSource(cfg.Seed)
 	return &Provider{
 		Topo:        t,
 		cfg:         cfg,
-		rng:         stats.NewRNG(cfg.Seed),
+		src:         src,
+		rng:         rand.New(src),
 		used:        make(map[int]int),
 		servers:     t.Servers(),
 		crossFactor: make(map[[2]int]float64),

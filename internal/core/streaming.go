@@ -46,19 +46,7 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if rows == 0 {
 		return errors.New("core: BeginStreaming with an empty calibration")
 	}
-	ialm := a.cfg.IALM
-	if ialm.Lambda == 0 {
-		// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for
-		// the fat TP-matrix, not the generic 1/√max-dim default.
-		ialm.Lambda = 1 / math.Sqrt(float64(rows))
-	}
-	ialm.Ctx = ctx
-	opts := rpca.StreamOptions{Extract: a.cfg.Extract, IALM: ialm, Ctx: ctx}
-	lat, err := rpca.NewStreamingSolver(rows, opts)
-	if err != nil {
-		return err
-	}
-	bw, err := rpca.NewStreamingSolver(rows, opts)
+	lat, bw, err := a.newStreamSolvers(ctx, rows)
 	if err != nil {
 		return err
 	}
@@ -70,6 +58,26 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	}
 	a.stream = &streamState{lat: lat, bw: bw, n: a.lastCal.Latency.N}
 	return nil
+}
+
+// newStreamSolvers builds a session's latency and bandwidth solvers for
+// TP-matrices of the given rows, bound to ctx.
+func (a *Advisor) newStreamSolvers(ctx context.Context, rows int) (lat, bw *rpca.StreamingSolver, err error) {
+	ialm := a.cfg.IALM
+	if ialm.Lambda == 0 {
+		// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for
+		// the fat TP-matrix, not the generic 1/√max-dim default.
+		ialm.Lambda = 1 / math.Sqrt(float64(rows))
+	}
+	ialm.Ctx = ctx
+	opts := rpca.StreamOptions{Extract: a.cfg.Extract, IALM: ialm, Ctx: ctx}
+	if lat, err = rpca.NewStreamingSolver(rows, opts); err != nil {
+		return nil, nil, err
+	}
+	if bw, err = rpca.NewStreamingSolver(rows, opts); err != nil {
+		return nil, nil, err
+	}
+	return lat, bw, nil
 }
 
 // StreamingActive reports whether a streaming session is open.

@@ -23,7 +23,11 @@ package mat
 //
 // The workspace is not safe for concurrent use.
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 const (
 	// svtMinTruncSide is the smallest small-side dimension for which the
@@ -127,6 +131,47 @@ func (ws *SVTWorkspace) rebind(r, c int) {
 // Stats reports how many SVT calls used a full decomposition and how many
 // the truncated warm-started route.
 func (ws *SVTWorkspace) Stats() (full, truncated int) { return ws.fullSVDs, ws.truncs }
+
+// SVTWarmState is the part of an SVTWorkspace that later calls depend
+// on: the bound shape (it decides whether a re-bind keeps the warm
+// start), the previous rank, the warm left subspace and the route
+// counters. Scratch buffers are not part of it; every call overwrites
+// them before reading.
+type SVTWarmState struct {
+	Rows, Cols       int
+	PrevRank         int       // -1 = no warm state
+	UK               int       // columns of U
+	FullSVDs, Truncs int       // route counters (Stats)
+	U                []float64 // min(Rows,Cols)×UK, row-major
+}
+
+// WarmState copies out the workspace's warm state.
+func (ws *SVTWorkspace) WarmState() SVTWarmState {
+	st := SVTWarmState{Rows: ws.rows, Cols: ws.cols, PrevRank: ws.prevRank, UK: ws.uk, FullSVDs: ws.fullSVDs, Truncs: ws.truncs}
+	st.U = append([]float64(nil), ws.uPrev[:min(ws.rows, ws.cols)*ws.uk]...)
+	return st
+}
+
+// RestoreWarmState installs a state WarmState recorded, so the next
+// SVTInto takes the same route from the same subspace, bit for bit, as
+// the recording workspace's next call would have. It refuses a state
+// whose fields are inconsistent with each other.
+func (ws *SVTWorkspace) RestoreWarmState(st SVTWarmState) error {
+	small := min(st.Rows, st.Cols)
+	switch {
+	case st.Rows < 0 || st.Cols < 0 || st.FullSVDs < 0 || st.Truncs < 0:
+		return errors.New("mat: SVT warm state has a negative shape or counter")
+	case st.PrevRank < -1 || st.PrevRank > small || st.UK < 0 || st.UK > small:
+		return fmt.Errorf("mat: SVT warm state rank %d / %d columns outside a %d×%d shape", st.PrevRank, st.UK, st.Rows, st.Cols)
+	case st.UK == 0 && len(st.U) != 0, st.UK > 0 && (len(st.U)%st.UK != 0 || len(st.U)/st.UK != small):
+		return fmt.Errorf("mat: SVT warm subspace holds %d values, want %d×%d", len(st.U), small, st.UK)
+	}
+	ws.rows, ws.cols = st.Rows, st.Cols
+	ws.prevRank, ws.uk = st.PrevRank, st.UK
+	ws.fullSVDs, ws.truncs = st.FullSVDs, st.Truncs
+	ws.uPrev = append(ws.uPrev[:0], st.U...)
+	return nil
+}
 
 // WarmSubspace exposes the warm-start state: the leading k left singular
 // vectors of the previously thresholded matrix in its fat orientation, as

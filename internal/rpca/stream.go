@@ -453,3 +453,80 @@ func checkFiniteSlice(col []float64) error {
 	}
 	return nil
 }
+
+// StreamState is a StreamingSolver's state as plain values: everything
+// later appends, replacements, resolves and oracle checks depend on.
+// Options are not part of it; a state restores into a solver built with
+// the options of the one that recorded it.
+type StreamState struct {
+	// Cols is the accumulated matrix, column-major: column j occupies
+	// Cols[j*rows : (j+1)*rows].
+	Cols []float64
+	// Constant holds the per-column constant estimates; its length is
+	// the column count.
+	Constant     []float64
+	Last         *Result // last authoritative resolve, nil before one
+	Dirty        bool
+	TrackTau     float64
+	SinceTrack   int
+	SinceResolve int
+	Stats        StreamStats // Columns, Replaced, Tracked, Resolves; the SVT counters live in SVT
+	SVT          mat.SVTWarmState
+}
+
+// State copies out the solver's state; later calls on the solver leave
+// the copy unchanged.
+func (s *StreamingSolver) State() StreamState {
+	st := StreamState{
+		Cols:         append([]float64(nil), s.colData...),
+		Constant:     append([]float64(nil), s.constant...),
+		Dirty:        s.dirty,
+		TrackTau:     s.trackTau,
+		SinceTrack:   s.sinceTrack,
+		SinceResolve: s.sinceResolve,
+		Stats:        s.stats,
+		SVT:          s.solver.svt.WarmState(),
+	}
+	if s.last != nil {
+		last := *s.last
+		last.D, last.E = s.last.D.Clone(), s.last.E.Clone()
+		st.Last = &last
+	}
+	return st
+}
+
+// Restore installs a state State recorded into a solver that has
+// ingested nothing yet, so every later call answers bit for bit as the
+// recording solver's would have. The solver takes ownership of st's
+// slices and matrices. It refuses a state whose shapes do not fit the
+// solver's row count or each other; the solver is unchanged then.
+func (s *StreamingSolver) Restore(st StreamState) error {
+	r, c := s.rows, len(st.Constant)
+	switch {
+	case s.ncols != 0:
+		return errors.New("rpca: restore into a streaming solver that already holds columns")
+	case c == 0 || len(st.Cols)%r != 0 || len(st.Cols)/r != c:
+		return fmt.Errorf("rpca: streaming state holds %d values for %d columns of %d rows", len(st.Cols), c, r)
+	case st.SinceTrack < 0 || st.SinceResolve < 0:
+		return errors.New("rpca: streaming state has a negative cadence counter")
+	case (st.SVT.Rows != 0 || st.SVT.Cols != 0) && (st.SVT.Rows != r || st.SVT.Cols != c):
+		return fmt.Errorf("rpca: streaming state's SVT is bound to %d×%d, want %d×%d", st.SVT.Rows, st.SVT.Cols, r, c)
+	}
+	if st.Last != nil {
+		for _, m := range []*mat.Dense{st.Last.D, st.Last.E} {
+			if m == nil || m.Rows() != r || m.Cols() != c {
+				return fmt.Errorf("rpca: streaming state's last resolve is not %d×%d", r, c)
+			}
+		}
+	}
+	if err := s.solver.svt.RestoreWarmState(st.SVT); err != nil {
+		return err
+	}
+	s.colData, s.ncols, s.constant, s.last = st.Cols, c, st.Constant, st.Last
+	s.dirty = st.Dirty
+	s.trackTau = st.TrackTau
+	s.sinceTrack = st.SinceTrack
+	s.sinceResolve = st.SinceResolve
+	s.stats = st.Stats
+	return nil
+}

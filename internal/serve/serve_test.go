@@ -418,6 +418,28 @@ func TestServerTenantValidation(t *testing.T) {
 	// 2^62+8 racks × 4 servers would wrap to a capacity of 32 in int64.
 	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", `{"vms":16,"racks":4611686018427387912,"servers_per_rack":4}`)
 	mustStatus(t, http.StatusBadRequest, code, body)
+	// Size caps: 1024×128 servers, and 256 VMs × 10 steps = 655,360
+	// TP-matrix cells, are each past their cap; the body is still a
+	// typed 400.
+	for _, cfg := range []string{
+		`{"vms":16,"racks":1024,"servers_per_rack":128}`,
+		`{"vms":256,"steps":10,"racks":64,"servers_per_rack":64}`,
+		`{"vms":2,"steps":200000}`,
+	} {
+		code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", cfg)
+		mustStatus(t, http.StatusBadRequest, code, body)
+		var eb errorBody
+		if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "bad-request" || !strings.Contains(eb.Error, "cap") {
+			t.Fatalf("%s: refusal not a typed cap error: %s", cfg, body)
+		}
+	}
+	// The largest tenant the repository's benchmark creates stays
+	// accepted, as does a calibration right at the cell cap.
+	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/big", `{"vms":64,"seed":1}`)
+	mustStatus(t, http.StatusCreated, code, body)
+	if err := (TenantConfig{VMs: 64, Steps: maxTPCells / (64 * 64), Racks: 256, ServersPerRack: 256}).validate(); err != nil {
+		t.Fatalf("config at the caps refused: %v", err)
+	}
 	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/missing", "")
 	mustStatus(t, http.StatusNotFound, code, body)
 	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", testTenantBody(1))

@@ -155,6 +155,7 @@ func (s *Server) loadExisting() error {
 
 func (s *Server) journalPath(id string) string { return filepath.Join(s.cfg.Dir, id+".nclog") }
 func (s *Server) snapPath(id string) string    { return filepath.Join(s.cfg.Dir, id+".ncsnap") }
+func (s *Server) statePath(id string) string   { return filepath.Join(s.cfg.Dir, id+".ncstate") }
 
 func (s *Server) shardFor(id string) *shard {
 	return s.shards[shardIndex(id, len(s.shards))]

@@ -89,8 +89,8 @@ func (sh *shard) submit(ctx context.Context, run func(ctx context.Context) error
 }
 
 // loop is the shard goroutine: drain the queue until Close closes the
-// channel, then seal every tenant's snapshot so a restart replays a
-// compact journal.
+// channel, then seal every tenant's snapshot and state so a restart
+// restores each tenant's state and replays nothing.
 func (sh *shard) loop() {
 	defer sh.srv.wg.Done()
 	for tk := range sh.ch {
@@ -105,7 +105,14 @@ func (sh *shard) loop() {
 		close(tk.done)
 	}
 	for _, t := range sh.tenants {
-		if err := t.store.Snapshot(); err != nil && sh.sealErr == nil {
+		// A store with no records past its snapshot is sealed already;
+		// re-sealing it would only rewrite the same history.
+		if t.store.TailRecords() > 0 {
+			if err := t.store.Snapshot(); err != nil && sh.sealErr == nil {
+				sh.sealErr = err
+			}
+		}
+		if err := t.sealState(); err != nil && sh.sealErr == nil {
 			sh.sealErr = err
 		}
 		if err := t.store.Close(); err != nil && sh.sealErr == nil {

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"netconstant/internal/checkpoint"
 	"netconstant/internal/cloud"
@@ -72,6 +73,9 @@ type tenant struct {
 	// sibling tenant with the same config, which is what makes the
 	// shared memo effective across tenants.
 	calIndex int
+
+	advSrc *stats.CountingSource // the advisor's measurement stream, counted for the state file
+	sealed uint64                // journal sequence the state file on disk reflects (0 = none known)
 }
 
 // newTenant builds the seeded in-memory state for a validated config.
@@ -97,7 +101,8 @@ func newTenant(srv *Server, id string, cfg TenantConfig, store *checkpoint.Store
 	if cfg.Resilient {
 		advCfg.Calibration.Resilient = true
 	}
-	adv := core.NewAdvisor(vc, stats.NewRNG(cfg.Seed+2), advCfg)
+	advSrc := stats.NewCountingSource(cfg.Seed + 2)
+	adv := core.NewAdvisor(vc, rand.New(advSrc), advCfg)
 	t := &tenant{
 		id:      id,
 		cfg:     cfg,
@@ -105,6 +110,7 @@ func newTenant(srv *Server, id string, cfg TenantConfig, store *checkpoint.Store
 		calCfg:  advCfg.Calibration,
 		cluster: vc,
 		adv:     adv,
+		advSrc:  advSrc,
 		store:   store,
 		srv:     srv,
 	}
@@ -211,17 +217,26 @@ func (t *tenant) journalOp(o op) error {
 		return err
 	}
 	if t.store.TailRecords() >= t.srv.cfg.SnapshotEvery {
-		return t.store.Snapshot()
+		if err := t.store.Snapshot(); err != nil {
+			return err
+		}
+		// The state file is a cache of the journal's effect: when sealing
+		// it fails, the previous file (if any) stays valid for an older
+		// sequence and restart replays the difference, so the op the
+		// journal already holds is not failed for it.
+		_ = t.sealState()
 	}
 	return nil
 }
 
 // rebuildTenant reconstructs a tenant from its store's record history:
-// the create record declares the config, every later record replays in
-// order under the server's lifetime context. Any failure — a malformed
-// record, a non-create head, a replay error — means the journal does
+// the create record declares the config; the base is the tenant's
+// sealed state when a usable one exists (state.go) and a fresh tenant
+// otherwise; every record after the base replays in order under the
+// server's lifetime context. Any failure of the journal itself — a
+// malformed record, a non-create head, a replay error — means it does
 // not describe a reachable state, and the caller quarantines the
-// tenant.
+// tenant. A failure of the state file only means replay from create.
 func rebuildTenant(srv *Server, id string, store *checkpoint.Store) (*tenant, error) {
 	recs := store.Records()
 	if len(recs) == 0 {
@@ -238,13 +253,20 @@ func rebuildTenant(srv *Server, id string, store *checkpoint.Store) (*tenant, er
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %s create replay: %w", id, err)
 	}
-	for i, rec := range recs[1:] {
+	base, err := t.restoreState(recs)
+	if err != nil {
+		base = 1
+		if t, err = newTenant(srv, id, *head.Cfg, store); err != nil {
+			return nil, fmt.Errorf("serve: tenant %s create replay: %w", id, err)
+		}
+	}
+	for i := base; i < uint64(len(recs)); i++ {
 		var o op
-		if err := json.Unmarshal(rec, &o); err != nil {
-			return nil, fmt.Errorf("serve: tenant %s record %d: %w", id, i+2, err)
+		if err := json.Unmarshal(recs[i], &o); err != nil {
+			return nil, fmt.Errorf("serve: tenant %s record %d: %w", id, i+1, err)
 		}
 		if _, _, err := t.applyOp(srv.baseCtx, o); err != nil {
-			return nil, fmt.Errorf("serve: tenant %s record %d (%s) replay: %w", id, i+2, o.Kind, err)
+			return nil, fmt.Errorf("serve: tenant %s record %d (%s) replay: %w", id, i+1, o.Kind, err)
 		}
 	}
 	return t, nil

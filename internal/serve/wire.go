@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 
 	"netconstant/internal/cancel"
@@ -69,6 +68,17 @@ func (c *TenantConfig) applyDefaults() {
 	}
 }
 
+// Size caps on a tenant config. They bound what one create request can
+// make the daemon build: the simulated data center's tree, and the
+// TP-matrix cells (vms² × steps) of which every calibration, analysis
+// and streaming session holds several matrices. The repository's own
+// tenants stay far below them: at most 256 servers, and 64 VMs × 10
+// steps = 40,960 cells.
+const (
+	maxServers = 1 << 16 // racks × servers_per_rack
+	maxTPCells = 1 << 19 // vms² × steps
+)
+
 func (c TenantConfig) validate() error {
 	if c.VMs < 2 {
 		return errf("vms must be ≥ 2, got %d", c.VMs)
@@ -76,14 +86,17 @@ func (c TenantConfig) validate() error {
 	if c.Racks < 1 || c.ServersPerRack < 1 {
 		return errf("racks and servers_per_rack must be ≥ 1, got %d×%d", c.Racks, c.ServersPerRack)
 	}
-	if c.Racks > math.MaxInt/c.ServersPerRack {
-		return errf("datacenter capacity %d×%d overflows", c.Racks, c.ServersPerRack)
+	if c.Racks > maxServers/c.ServersPerRack {
+		return errf("datacenter of %d×%d servers exceeds the cap of %d", c.Racks, c.ServersPerRack, maxServers)
 	}
 	if c.VMs > c.Racks*c.ServersPerRack {
 		return errf("vms %d exceed datacenter capacity %d", c.VMs, c.Racks*c.ServersPerRack)
 	}
 	if c.Steps < 1 {
 		return errf("steps must be ≥ 1, got %d", c.Steps)
+	}
+	if c.Steps > maxTPCells/(c.VMs*c.VMs) {
+		return errf("calibration of %d VMs × %d steps exceeds the cap of %d TP-matrix cells (vms² × steps)", c.VMs, c.Steps, maxTPCells)
 	}
 	if c.Gap < 0 || c.Threshold < 0 {
 		return errf("gap and threshold must be ≥ 0")

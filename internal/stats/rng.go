@@ -99,3 +99,52 @@ func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
 	copy(out, p[:k])
 	return out
 }
+
+// CountingSource is a math/rand Source64 that counts the steps it has
+// taken, so a generator's position can be recorded as one number and
+// restored by fast-forwarding a fresh source from the same seed. Its
+// stream is the plain NewRNG stream: rngSource's Int63 and Uint64 each
+// advance the generator exactly one step, and every rand.Rand method
+// draws through one of them. (rand.Rand.Read buffers bytes inside the
+// Rand, outside the source's count; position-exact callers do not use
+// it.)
+type CountingSource struct {
+	src   rand.Source64
+	draws uint64
+}
+
+// NewCountingSource returns a counting source seeded like NewRNG.
+func NewCountingSource(seed int64) *CountingSource {
+	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+}
+
+// Int63 implements rand.Source.
+func (s *CountingSource) Int63() int64 {
+	s.draws++
+	return s.src.Int63()
+}
+
+// Uint64 implements rand.Source64.
+func (s *CountingSource) Uint64() uint64 {
+	s.draws++
+	return s.src.Uint64()
+}
+
+// Seed implements rand.Source: it reseeds and restarts the count.
+func (s *CountingSource) Seed(seed int64) {
+	s.src.Seed(seed)
+	s.draws = 0
+}
+
+// Draws returns how many steps the source has taken since its seed.
+func (s *CountingSource) Draws() uint64 { return s.draws }
+
+// Skip advances the source n steps, discarding the values: a fresh
+// source skipped by a recorded Draws continues exactly where the
+// recorded one stood.
+func (s *CountingSource) Skip(n uint64) {
+	for i := uint64(0); i < n; i++ {
+		s.src.Uint64()
+	}
+	s.draws += n
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -318,5 +319,59 @@ func TestTrimmedMean(t *testing.T) {
 	}
 	if v := TrimmedMean(xs, 0.9); math.IsNaN(v) {
 		t.Error("over-trim should still return a value")
+	}
+}
+
+// TestCountingSourceStream: a rand.Rand over a CountingSource draws the
+// plain NewRNG stream through every sampler, and a fresh source skipped
+// by the recorded count continues exactly where the recorded one stood.
+func TestCountingSourceStream(t *testing.T) {
+	const seed = 20261018
+	draw := func(r *rand.Rand, i int) float64 {
+		switch i % 6 {
+		case 0:
+			return r.Float64()
+		case 1:
+			return r.NormFloat64()
+		case 2:
+			return r.ExpFloat64()
+		case 3:
+			return float64(r.Intn(1000 + i))
+		case 4:
+			p := r.Perm(5 + i%7)
+			return float64(p[0]*10 + p[len(p)-1])
+		default:
+			return float64(r.Uint64() >> 11)
+		}
+	}
+	plain := NewRNG(seed)
+	src := NewCountingSource(seed)
+	counted := rand.New(src)
+	for i := 0; i < 3000; i++ {
+		if a, b := draw(plain, i), draw(counted, i); a != b {
+			t.Fatalf("draw %d: counted stream %v, plain %v", i, b, a)
+		}
+	}
+	if src.Draws() < 3000 {
+		t.Fatalf("3000 mixed draws counted as %d steps", src.Draws())
+	}
+
+	resumed := NewCountingSource(seed)
+	resumed.Skip(src.Draws())
+	if resumed.Draws() != src.Draws() {
+		t.Fatalf("skipped source reports %d steps, want %d", resumed.Draws(), src.Draws())
+	}
+	again := rand.New(resumed)
+	for i := 3000; i < 4000; i++ {
+		if a, b := draw(counted, i), draw(again, i); a != b {
+			t.Fatalf("draw %d after fast-forward: %v, want %v", i, b, a)
+		}
+	}
+	if resumed.Draws() != src.Draws() {
+		t.Fatalf("streams drifted: %d vs %d steps", resumed.Draws(), src.Draws())
+	}
+	src.Seed(seed)
+	if src.Draws() != 0 || counted.Float64() != NewRNG(seed).Float64() {
+		t.Fatal("reseeding did not restart the stream and its count")
 	}
 }
