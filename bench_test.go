@@ -273,7 +273,7 @@ func BenchmarkIALMDecompose64(b *testing.B) {
 	}
 }
 
-func BenchmarkRingAllgather64(b *testing.B) {
+func BenchmarkRingAllreduce64(b *testing.B) {
 	pm := netmodel.NewPerfMatrix(64)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 64; j++ {
@@ -288,26 +288,7 @@ func BenchmarkRingAllgather64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.RingAllgather(mpi.NewAnalyticNet(pm), order, 1<<20)
-	}
-}
-
-func BenchmarkPipelinedBroadcast64(b *testing.B) {
-	pm := netmodel.NewPerfMatrix(64)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 64; j++ {
-			if i != j {
-				pm.SetLink(i, j, netmodel.Link{Alpha: 3e-4, Beta: 50e6})
-			}
-		}
-	}
-	chain := make([]int, 64)
-	for i := range chain {
-		chain[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mpi.PipelinedBroadcast(mpi.NewAnalyticNet(pm), chain, 8<<20, 32)
+		mpi.RingAllreduce(mpi.NewAnalyticNet(pm), order, 64<<20)
 	}
 }
 

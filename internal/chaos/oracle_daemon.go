@@ -10,8 +10,9 @@ package chaos
 //     uninterrupted twin — the journal is the state, the process is
 //     disposable;
 //   - a damaged sealed state file is a cache miss, not damage: that
-//     tenant replays its journal and answers byte-identically, and its
-//     neighbors' answers and state files are untouched;
+//     tenant replays its journal and answers byte-identically, /healthz
+//     lists exactly it under state_ignored, and its neighbors' answers
+//     and state files are untouched;
 //   - a damaged tenant journal must quarantine that tenant alone: the
 //     tenant answers with the typed "quarantined" refusal, /healthz
 //     names exactly it, and every neighbor's probes stay byte-identical;
@@ -294,6 +295,14 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 			return
 		}
 		defer dc.kill()
+		hstatus, health, err := dc.do(daemonReq{"GET", "/healthz", ""})
+		if err != nil || hstatus != http.StatusOK {
+			fails = append(fails, failf(oracle, "healthz on a damaged state file: status %d, err %v", hstatus, err))
+			return
+		}
+		if wantI := fmt.Sprintf(`"state_ignored":["%s"]`, tenants[1]); !strings.Contains(health, wantI) {
+			fails = append(fails, failf(oracle, "healthz must name exactly the tenant whose state file was ignored (%s), got %s", wantI, strings.TrimSpace(health)))
+		}
 		replayed, err := dc.probe(tenants)
 		if err != nil {
 			fails = append(fails, failf(oracle, "state-fallback %v", err))
@@ -346,7 +355,7 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 		if status != http.StatusGone || !strings.Contains(body, `"code":"quarantined"`) {
 			fails = append(fails, failf(oracle, "damaged tenant answered %d %s, want a typed 410 quarantined refusal", status, strings.TrimSpace(body)))
 		}
-		hstatus, health, err := d3.do(daemonReq{"GET", "/healthz", ""})
+		hstatus, health, err = d3.do(daemonReq{"GET", "/healthz", ""})
 		if err != nil || hstatus != http.StatusOK {
 			fails = append(fails, failf(oracle, "healthz on damaged dir: status %d, err %v", hstatus, err))
 			return

@@ -92,7 +92,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := m.GetOrComputeCtx(context.Background(), key, compute)
+		_, err := m.GetOrComputeOwned(context.Background(), "", key, compute)
 		ownerDone <- err
 	}()
 	<-computeStarted
@@ -101,7 +101,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 	waiterCtx, stopWaiter := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := m.GetOrComputeCtx(waiterCtx, key, compute)
+		_, err := m.GetOrComputeOwned(waiterCtx, "", key, compute)
 		waiterDone <- err
 	}()
 	stopWaiter()
@@ -132,7 +132,7 @@ func TestMemoSingleflightStillShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+			_, err := m.GetOrComputeOwned(context.Background(), "", key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()

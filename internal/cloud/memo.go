@@ -33,9 +33,11 @@ type CalibrationKey struct {
 // return deep clones, so callers can hand the trace to an advisor (which
 // keeps and may inspect it) without sharing state.
 //
-// Fault- and regime-change experiments that mutate the substrate between
-// calibrations must Invalidate their key (or InvalidateAll) before
-// re-calibrating, or they would replay the pre-fault trace.
+// A cached trace never goes stale, because the key names every input of
+// the measurement: the compute closure measures a replica provisioned
+// fresh from the key alone. A calibration of a cluster that has evolved
+// since provisioning (a maintenance re-calibration of the live cluster)
+// has no such key and must bypass the memo.
 type CalibrationMemo struct {
 	mu  sync.Mutex
 	cap int
@@ -56,17 +58,6 @@ type CalibrationMemo struct {
 	// cancellable: a waiter whose context ends abandons the wait (the
 	// computation itself keeps running on the goroutine that started it).
 	inflight map[CalibrationKey]*memoCall
-
-	// gens and allGen stamp computations against invalidations: every
-	// Invalidate(key) bumps gens[key] and every InvalidateAll bumps allGen.
-	// A computation records both at start and its result is cached only if
-	// neither moved — otherwise a compute that was racing an invalidation
-	// would re-insert the pre-fault trace, exactly the replay hazard the
-	// type doc warns about. The stale result is still returned to the
-	// waiters of that round (they asked before the fault); it just never
-	// outlives them in the cache.
-	gens   map[CalibrationKey]uint64
-	allGen uint64
 }
 
 type memoEntry struct {
@@ -87,13 +78,11 @@ func entryCost(tc *TemporalCalibration) float64 {
 }
 
 // memoCall is one in-flight computation; tc/err are written exactly
-// once, before done is closed. gen/allGen are the invalidation stamps the
-// computation started under.
+// once, before done is closed.
 type memoCall struct {
-	done        chan struct{}
-	tc          *TemporalCalibration
-	err         error
-	gen, allGen uint64
+	done chan struct{}
+	tc   *TemporalCalibration
+	err  error
 }
 
 // MemoStats reports cache effectiveness.
@@ -113,7 +102,6 @@ func NewCalibrationMemo(capacity int) *CalibrationMemo {
 		byK:       map[CalibrationKey]*list.Element{},
 		ownerCost: map[string]float64{},
 		inflight:  map[CalibrationKey]*memoCall{},
-		gens:      map[CalibrationKey]uint64{},
 	}
 }
 
@@ -166,7 +154,7 @@ func (m *CalibrationMemo) removeElement(el *list.Element) {
 	}
 }
 
-// GetOrComputeCtx returns a deep clone of the trace for key, calling
+// GetOrComputeOwned returns a deep clone of the trace for key, calling
 // compute (and caching its result) on the first request. Concurrent
 // requests for the same key block on a single computation; distinct keys
 // compute concurrently. A compute error is returned to every waiter and
@@ -178,16 +166,13 @@ func (m *CalibrationMemo) removeElement(el *list.Element) {
 // it belongs to the request that started it, which typically passes the
 // same ctx into its compute closure (so cancelling the whole sweep
 // still cancels the measurement).
-func (m *CalibrationMemo) GetOrComputeCtx(ctx context.Context, key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
-	return m.GetOrComputeOwned(ctx, "", key, compute)
-}
-
-// GetOrComputeOwned is GetOrComputeCtx with fairness accounting: the
-// cached entry is charged to owner (a tenant ID, figure name, or any
-// stable identity), and eviction under pressure always falls on the
-// owner holding the greatest total cached cost. Multi-tenant callers
-// (the advisor daemon) pass their tenant ID here so one tenant's
-// calibration burst cannot flush everyone else's traces.
+//
+// The cached entry is charged to owner (a tenant ID, figure name, or any
+// stable identity; "" is an owner like any other), and eviction under
+// pressure always falls on the owner holding the greatest total cached
+// cost. Multi-tenant callers (the advisor daemon) pass their tenant ID
+// here so one tenant's calibration burst cannot flush everyone else's
+// traces.
 func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
 	if m == nil {
 		return compute()
@@ -219,7 +204,7 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 			return nil, cancel.Wrap("cloud.CalibrationMemo", 0, 0, context.Cause(ctx))
 		}
 	}
-	call := &memoCall{done: make(chan struct{}), gen: m.gens[key], allGen: m.allGen}
+	call := &memoCall{done: make(chan struct{})}
 	m.inflight[key] = call
 	m.mu.Unlock()
 
@@ -227,18 +212,11 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 
 	m.mu.Lock()
 	m.misses++
-	// Cache only if no invalidation raced the computation: the key's and
-	// the global generation must be unchanged and this call must still be
-	// the registered one (Invalidate detaches stale calls so a fresh
-	// computation can start while the old one is still running).
-	current := m.inflight[key] == call && m.gens[key] == call.gen && m.allGen == call.allGen
-	if err == nil && current {
+	if err == nil {
 		m.put(owner, key, tc.Clone())
 	}
 	call.tc, call.err = tc, err
-	if m.inflight[key] == call {
-		delete(m.inflight, key)
-	}
+	delete(m.inflight, key)
 	m.mu.Unlock()
 	close(call.done)
 
@@ -248,43 +226,6 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 	// The computing request owns the freshly measured trace (a clone went
 	// into the cache), so no extra copy is needed.
 	return tc, nil
-}
-
-// Invalidate drops the entry for key (e.g. after injecting a fault into
-// the substrate the key describes) and fences any computation of that key
-// currently in flight: its eventual result is handed to the waiters that
-// already joined it but is not cached, and a request arriving after the
-// invalidation starts a fresh computation instead of joining the stale
-// one. It reports whether a cached entry existed.
-func (m *CalibrationMemo) Invalidate(key CalibrationKey) bool {
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gens[key]++
-	delete(m.inflight, key)
-	el, ok := m.byK[key]
-	if !ok {
-		return false
-	}
-	m.removeElement(el)
-	return true
-}
-
-// InvalidateAll empties the memo and fences every in-flight computation,
-// with the same semantics per key as Invalidate.
-func (m *CalibrationMemo) InvalidateAll() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.allGen++
-	m.inflight = map[CalibrationKey]*memoCall{}
-	m.lru.Init()
-	m.byK = map[CalibrationKey]*list.Element{}
-	m.ownerCost = map[string]float64{}
 }
 
 // Stats returns hit/miss counters and the current entry count.

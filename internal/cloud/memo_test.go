@@ -32,7 +32,7 @@ var errNotCached = errors.New("not cached")
 // cachedTrace is a lookup that never stores: a hit returns a clone of the
 // cached trace, and a miss returns nil because its compute refuses.
 func cachedTrace(m *CalibrationMemo, key CalibrationKey) *TemporalCalibration {
-	tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+	tc, err := m.GetOrComputeOwned(context.Background(), "", key, func() (*TemporalCalibration, error) {
 		return nil, errNotCached
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func cachedTrace(m *CalibrationMemo, key CalibrationKey) *TemporalCalibration {
 // putTrace stores a clone of tc under key through a miss.
 func putTrace(t *testing.T, m *CalibrationMemo, key CalibrationKey, tc *TemporalCalibration) {
 	t.Helper()
-	if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+	if _, err := m.GetOrComputeOwned(context.Background(), "", key, func() (*TemporalCalibration, error) {
 		return tc.Clone(), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -61,11 +61,11 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	a, err := m.GetOrComputeCtx(context.Background(), key, compute)
+	a, err := m.GetOrComputeOwned(context.Background(), "", key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.GetOrComputeCtx(context.Background(), key, compute)
+	b, err := m.GetOrComputeOwned(context.Background(), "", key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+			_, err := m.GetOrComputeOwned(context.Background(), "", key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -132,44 +132,30 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidate: invalidation forces a fresh computation; errors are
-// not cached.
-func TestMemoInvalidate(t *testing.T) {
+// TestMemoErrorNotCached: a compute error reaches the caller and leaves
+// nothing cached, so the next request for the key computes again.
+func TestMemoErrorNotCached(t *testing.T) {
 	m := NewCalibrationMemo(4)
-	key := memoKey(6, 300)
+	key := memoKey(6, 301)
+	boom := errors.New("probe storm")
+	if _, err := m.GetOrComputeOwned(context.Background(), "", key, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("got %v, want compute error", err)
+	}
+	if st := m.Stats(); st.Entries != 0 {
+		t.Fatalf("entries after a failed compute: %d", st.Entries)
+	}
 	computes := 0
 	compute := func() (*TemporalCalibration, error) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := m.GetOrComputeOwned(context.Background(), "", key, compute); err != nil {
+			t.Fatalf("error must not be cached: %v", err)
+		}
 	}
-	if !m.Invalidate(key) {
-		t.Fatal("Invalidate should report an existing entry")
-	}
-	if m.Invalidate(key) {
-		t.Fatal("second Invalidate should find nothing")
-	}
-	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
-		t.Fatal(err)
-	}
-	if computes != 2 {
-		t.Fatalf("computed %d times, want 2 after invalidation", computes)
-	}
-
-	boom := errors.New("probe storm")
-	k2 := memoKey(6, 301)
-	if _, err := m.GetOrComputeCtx(context.Background(), k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want compute error", err)
-	}
-	if _, err := m.GetOrComputeCtx(context.Background(), k2, compute); err != nil {
-		t.Fatalf("error must not be cached: %v", err)
-	}
-
-	m.InvalidateAll()
-	if st := m.Stats(); st.Entries != 0 {
-		t.Fatalf("entries after InvalidateAll: %d", st.Entries)
+	if computes != 1 {
+		t.Fatalf("computed %d times after the failure, want 1", computes)
 	}
 }
 
@@ -215,179 +201,6 @@ func TestTemporalCalibrationClone(t *testing.T) {
 	cl.Mask.Set(0, 0, 99)
 	if tc.Mask.At(0, 0) == 99 {
 		t.Fatal("mask mutation leaked")
-	}
-}
-
-// TestMemoInvalidateDropsInflightInsert is the regression test for the
-// invalidate-vs-inflight race: a computation that started before an
-// Invalidate must not populate the cache when it finishes after it — the
-// post-fault request would replay the pre-fault trace.
-func TestMemoInvalidateDropsInflightInsert(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 200)
-	pre := measureFor(t, key)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release // hold the computation while Invalidate lands
-			return pre, nil
-		})
-		if err != nil || tc == nil {
-			t.Errorf("computing request: tc=%v err=%v", tc, err)
-		}
-	}()
-	<-started
-	m.Invalidate(key)
-	close(release)
-	<-done
-
-	if got := cachedTrace(m, key); got != nil {
-		t.Fatal("pre-invalidation compute repopulated the cache")
-	}
-}
-
-// TestMemoInvalidateAllDropsInflightInsert: same fence through the global
-// invalidation.
-func TestMemoInvalidateAllDropsInflightInsert(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 210)
-	pre := measureFor(t, key)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release
-			return pre, nil
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	m.InvalidateAll()
-	close(release)
-	<-done
-
-	if got := cachedTrace(m, key); got != nil {
-		t.Fatal("pre-InvalidateAll compute repopulated the cache")
-	}
-}
-
-// TestMemoInvalidateDetachesInflight: a request arriving after an
-// Invalidate must start a fresh computation instead of joining (and
-// receiving the result of) the stale in-flight one, and the fresh result
-// is the one that ends up cached.
-func TestMemoInvalidateDetachesInflight(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 220)
-	pre := measureFor(t, key)
-	post := measureFor(t, key)
-	post.TotalCost = pre.TotalCost + 1000 // distinguishable post-fault trace
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	staleDone := make(chan struct{})
-	go func() {
-		defer close(staleDone)
-		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release
-			return pre, nil
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	m.Invalidate(key)
-
-	freshRan := false
-	got, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-		freshRan = true
-		return post, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !freshRan {
-		t.Fatal("post-invalidation request joined the stale in-flight computation")
-	}
-	if got.TotalCost != post.TotalCost {
-		t.Fatalf("post-invalidation request got cost %v, want the fresh trace's %v", got.TotalCost, post.TotalCost)
-	}
-	close(release)
-	<-staleDone
-
-	cached := cachedTrace(m, key)
-	if cached == nil {
-		t.Fatal("fresh trace not cached")
-	}
-	if cached.TotalCost != post.TotalCost {
-		t.Fatalf("cache holds cost %v, want the post-fault %v — stale insert won", cached.TotalCost, post.TotalCost)
-	}
-}
-
-// TestMemoInvalidateRaceStress hammers GetOrComputeCtx against Invalidate
-// under the race detector: after every invalidation the cache must never
-// serve a trace computed before it (cost stamps are monotonic per round).
-func TestMemoInvalidateRaceStress(t *testing.T) {
-	m := NewCalibrationMemo(8)
-	key := memoKey(6, 230)
-	base := measureFor(t, key)
-
-	var mu sync.Mutex
-	round := 0
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-					mu.Lock()
-					r := round
-					mu.Unlock()
-					c := base.Clone()
-					c.TotalCost = float64(r)
-					return c, nil
-				})
-				if err != nil || tc == nil {
-					t.Errorf("GetOrComputeCtx: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 25; i++ {
-			mu.Lock()
-			round++
-			mu.Unlock()
-			m.Invalidate(key)
-		}
-	}()
-	wg.Wait()
-
-	// After the dust settles the cached round stamp must be from after the
-	// final invalidation (or the key absent entirely).
-	mu.Lock()
-	final := round
-	mu.Unlock()
-	if tc := cachedTrace(m, key); tc != nil && int(tc.TotalCost) < final {
-		// A cached trace older than the last invalidation is exactly the
-		// replay hazard the generation stamps exist to prevent. (Equal is
-		// fine: a compute that started after the final Invalidate.)
-		t.Fatalf("cache serves round %d, last invalidation was %d", int(tc.TotalCost), final)
 	}
 }
 

@@ -133,57 +133,3 @@ func (sc *SimCluster) StopBackground() {
 		b.Stop()
 	}
 }
-
-// CalibratePaired performs one all-link calibration on the simulated
-// cluster using the paper's paired schedule with *genuinely concurrent*
-// probes: in every round, ⌊N/2⌋ disjoint pairs run their bulk transfers
-// simultaneously on the simulator, so probe flows contend with each other
-// and with background traffic exactly as the paper's concern about
-// "interference of concurrent message transfers" describes (§IV-B). It
-// returns the measured performance matrix and the simulated time consumed.
-func (sc *SimCluster) CalibratePaired() (*netmodel.PerfMatrix, float64) {
-	n := sc.Size()
-	perf := netmodel.NewPerfMatrix(n)
-	start := sc.Now()
-	for _, round := range PairSchedule(n) {
-		// Latency probes: 1-byte flows, all pairs at once.
-		alphas := make([]float64, len(round))
-		pending := 0
-		for k, pr := range round {
-			k, pr := k, pr
-			pending++
-			probeStart := sc.Now()
-			sc.Sim.StartFlow(sc.Hosts[pr[0]], sc.Hosts[pr[1]], 1, func(at float64) {
-				alphas[k] = at - probeStart
-				pending--
-			})
-		}
-		for pending > 0 {
-			if !sc.Sim.Eng.Step() {
-				panic("cloud: simulator drained during paired calibration")
-			}
-		}
-		// Bandwidth probes: bulk flows, all pairs at once.
-		pending = 0
-		for k, pr := range round {
-			k, pr := k, pr
-			pending++
-			probeStart := sc.Now()
-			sc.Sim.StartFlow(sc.Hosts[pr[0]], sc.Hosts[pr[1]], sc.bulkBytes, func(at float64) {
-				elapsed := at - probeStart
-				data := elapsed - alphas[k]
-				if data <= 0 {
-					data = elapsed
-				}
-				perf.SetLink(pr[0], pr[1], netmodel.Link{Alpha: alphas[k], Beta: sc.bulkBytes / data})
-				pending--
-			})
-		}
-		for pending > 0 {
-			if !sc.Sim.Eng.Step() {
-				panic("cloud: simulator drained during paired calibration")
-			}
-		}
-	}
-	return perf, sc.Now() - start
-}

@@ -252,27 +252,6 @@ func TestTimeStepAccuracyDecreases(t *testing.T) {
 	}
 }
 
-func TestWeightsTP(t *testing.T) {
-	lat := netmodel.NewTPMatrix(2)
-	bw := netmodel.NewTPMatrix(2)
-	l := mat.NewDense(2, 2)
-	l.Set(0, 1, 1)
-	b := mat.NewDense(2, 2)
-	b.Set(0, 1, 10)
-	lat.Append(0, l)
-	bw.Append(0, b)
-	w := WeightsTP(lat, bw, 100)
-	if got := w.Snapshot(0).At(0, 1); math.Abs(got-11) > 1e-12 {
-		t.Errorf("weight %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatch should panic")
-		}
-	}()
-	WeightsTP(lat, netmodel.NewTPMatrix(3), 100)
-}
-
 func TestDecomposeTPEmptyErrors(t *testing.T) {
 	if _, err := DecomposeTPWith(rpca.NewSolver(), netmodel.NewTPMatrix(2), rpca.Options{}, rpca.ExtractMean); err == nil {
 		t.Error("empty TP should error")

@@ -169,10 +169,11 @@ func newEnvAdv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, adv
 // and seeds, so every requester (hit or miss) sees the identical trace
 // and leaves its own rng/cluster streams untouched — then installed via
 // AnalyzeCalibration, with the cluster clock advanced by the measurement
-// cost it would have paid. Maintenance re-calibrations (Advisor.Calibrate
-// from Observe/Maintain) still measure the live, evolved cluster and
-// never consult the memo; experiments that mutate the substrate under a
-// previously memoized key must call Memo.Invalidate.
+// cost it would have paid. The key names every input of that
+// measurement, so a cached trace never goes stale. Maintenance
+// re-calibrations (Advisor.CalibrateCtx, fired from ObserveCtx) measure
+// the live, evolved cluster, which no key describes, and never consult
+// the memo.
 func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, advCfg core.AdvisorConfig, vc *cloud.VirtualCluster, adv *core.Advisor) error {
 	ctx := cfg.context()
 	if cfg.Memo == nil {
@@ -187,7 +188,7 @@ func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, 
 		Gap:      advCfg.Gap,
 		Cal:      advCfg.Calibration,
 	}
-	tc, err := cfg.Memo.GetOrComputeCtx(ctx, key, func() (*cloud.TemporalCalibration, error) {
+	tc, err := cfg.Memo.GetOrComputeOwned(ctx, "", key, func() (*cloud.TemporalCalibration, error) {
 		replica, err := cloud.NewProvider(pc).Provision(n, key.ProvSeed)
 		if err != nil {
 			return nil, err

@@ -152,7 +152,7 @@ func TestTruncateRankEckartYoung(t *testing.T) {
 	a := randMat(rng, 8, 8)
 	sv := a.SingularValues()
 	for _, k := range []int{1, 3, 7} {
-		tr := a.TruncateRank(k)
+		tr := a.SVD().Reconstruct(k)
 		// Frobenius error must equal sqrt of the sum of squared trailing
 		// singular values.
 		var want float64
@@ -209,14 +209,6 @@ func TestSoftThreshold(t *testing.T) {
 	want := FromRows([][]float64{{2, -2}, {0, 0}})
 	if !s.ApproxEqual(want, 1e-12) {
 		t.Errorf("soft threshold: %v", s)
-	}
-}
-
-func TestHardThreshold(t *testing.T) {
-	m := FromRows([][]float64{{3, -0.5}})
-	h := m.HardThreshold(1)
-	if h.At(0, 0) != 3 || h.At(0, 1) != 0 {
-		t.Error("hard threshold")
 	}
 }
 

@@ -1,7 +1,5 @@
 package mat
 
-import "math"
-
 // SoftThreshold applies the elementwise shrinkage operator
 // sign(x)·max(|x|−tau, 0), the proximal operator of the L1 norm. It returns
 // a new matrix.
@@ -41,15 +39,4 @@ func (m *Dense) SVT(tau float64) (*Dense, int) {
 		svd.S[i] = s
 	}
 	return svd.Reconstruct(rank), rank
-}
-
-// HardThreshold zeroes entries with |x| <= tau, returning a new matrix.
-func (m *Dense) HardThreshold(tau float64) *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i, v := range m.data {
-		if math.Abs(v) > tau {
-			out.data[i] = v
-		}
-	}
-	return out
 }

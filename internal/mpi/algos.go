@@ -6,14 +6,12 @@ import (
 	"netconstant/internal/mat"
 )
 
-// This file implements the round-structured collective algorithms of
+// This file implements two round-structured collective algorithms of
 // Thakur & Rabenseifner ("Optimization of collective communication
-// operations in MPICH", the paper's reference [39]): ring and
-// recursive-doubling allgather, ring allreduce (reduce-scatter +
-// allgather), pairwise-exchange all-to-all, and pipelined (segmented)
-// broadcast. They extend the tree collectives with the algorithms an
-// MPI library would actually select from, and give the network-aware
-// planner more schedules to choose between.
+// operations in MPICH", the paper's reference [39]): ring allreduce
+// (reduce-scatter + allgather) and pairwise-exchange all-to-all. They
+// extend the tree collectives with schedules whose cost depends on the
+// rank order, which ChainFromWeights picks from the weight matrix.
 
 // transfer is one point-to-point message inside a round.
 type transfer struct {
@@ -53,54 +51,6 @@ func runRounds(net Network, rounds [][]transfer) float64 {
 	runRound(0)
 	net.Run()
 	return done - start
-}
-
-// RingAllgather implements the bandwidth-optimal ring allgather: in each
-// of n−1 rounds, every rank forwards the newest block it holds to its
-// right neighbour. order gives the ring permutation (ranks in ring
-// positions); chunkBytes is the per-rank contribution. Returns elapsed
-// time.
-func RingAllgather(net Network, order []int, chunkBytes float64) float64 {
-	n := len(order)
-	if n < 2 {
-		return 0
-	}
-	rounds := make([][]transfer, n-1)
-	for r := 0; r < n-1; r++ {
-		round := make([]transfer, 0, n)
-		for i := 0; i < n; i++ {
-			round = append(round, transfer{src: order[i], dst: order[(i+1)%n], bytes: chunkBytes})
-		}
-		rounds[r] = round
-	}
-	return runRounds(net, rounds)
-}
-
-// RecursiveDoublingAllgather implements the latency-optimal
-// recursive-doubling allgather for a power-of-two number of ranks: in
-// round k, rank i exchanges all data gathered so far with rank i XOR 2^k,
-// so the payload doubles every round. For non-power-of-two rank counts it
-// falls back to the ring algorithm. order maps algorithm positions to
-// ranks.
-func RecursiveDoublingAllgather(net Network, order []int, chunkBytes float64) float64 {
-	n := len(order)
-	if n < 2 {
-		return 0
-	}
-	if n&(n-1) != 0 {
-		return RingAllgather(net, order, chunkBytes)
-	}
-	var rounds [][]transfer
-	for k := 1; k < n; k <<= 1 {
-		round := make([]transfer, 0, n)
-		for i := 0; i < n; i++ {
-			peer := i ^ k
-			// Both directions of the exchange.
-			round = append(round, transfer{src: order[i], dst: order[peer], bytes: float64(k) * chunkBytes})
-		}
-		rounds = append(rounds, round)
-	}
-	return runRounds(net, rounds)
 }
 
 // RingAllreduce implements the bandwidth-optimal ring allreduce:
@@ -146,60 +96,9 @@ func PairwiseAlltoall(net Network, order []int, chunkBytes float64) float64 {
 	return runRounds(net, rounds)
 }
 
-// PipelinedBroadcast streams the message down a chain in `segments`
-// equal pieces: the head holds the data and each node forwards a segment
-// to its successor as soon as it has received it (and has finished
-// forwarding the previous segment). With S segments over a chain of
-// length L, the analytic time is (S + L − 1) segment-transfer times —
-// far better than a binomial tree for large messages on uniform networks.
-// chain lists the ranks in order, chain[0] being the root.
-func PipelinedBroadcast(net Network, chain []int, msgBytes float64, segments int) float64 {
-	n := len(chain)
-	if n < 2 || msgBytes <= 0 {
-		return 0
-	}
-	if segments < 1 {
-		segments = 1
-	}
-	segBytes := msgBytes / float64(segments)
-	start := net.Now()
-	finish := start
-
-	// sendSeg(i, s) forwards segment s from chain[i] to chain[i+1] once
-	// both the segment has arrived at i and link i->i+1 is free.
-	// arrived[i] = number of segments fully received by node i;
-	// busy[i] = whether link i->i+1 is currently transmitting;
-	// sent[i] = segments already forwarded on link i.
-	arrived := make([]int, n)
-	arrived[0] = segments
-	busy := make([]bool, n)
-	sent := make([]int, n)
-
-	var pump func(i int)
-	pump = func(i int) {
-		if i >= n-1 || busy[i] || sent[i] >= segments || sent[i] >= arrived[i] {
-			return
-		}
-		busy[i] = true
-		net.Send(chain[i], chain[i+1], segBytes, func(at float64) {
-			busy[i] = false
-			sent[i]++
-			arrived[i+1]++
-			if i+1 == n-1 && arrived[i+1] == segments && at > finish {
-				finish = at
-			}
-			pump(i)     // next segment on this link
-			pump(i + 1) // wake the downstream link
-		})
-	}
-	pump(0)
-	net.Run()
-	return finish - start
-}
-
 // ChainFromWeights orders ranks into a low-weight chain greedily: starting
 // at root, repeatedly append the unvisited rank with the smallest weight
-// from the current tail — the pipelined-broadcast analogue of FNF.
+// from the current tail — the ring analogue of FNF.
 func ChainFromWeights(w *mat.Dense, root int) []int {
 	n := w.Rows()
 	if root < 0 || root >= n {
@@ -225,23 +124,4 @@ func ChainFromWeights(w *mat.Dense, root int) []int {
 		cur = best
 	}
 	return chain
-}
-
-// AutoBroadcast picks between the binomial tree and a pipelined chain the
-// way an MPI library switches algorithms by message size: small messages
-// are latency-bound (binomial, log n rounds), large messages are
-// bandwidth-bound (pipelined chain). It plans both from the weight matrix
-// and returns the better schedule's elapsed time together with the name of
-// the winner. The estimate network supplies planning costs; the exec
-// network is charged for the chosen schedule.
-func AutoBroadcast(estimate func() Network, exec Network, w *mat.Dense, root int, msgBytes float64, segments int) (float64, string) {
-	tree := FNFTree(w, root)
-	chain := ChainFromWeights(w, root)
-
-	treeTime := RunCollective(estimate(), tree, Broadcast, msgBytes)
-	chainTime := PipelinedBroadcast(estimate(), chain, msgBytes, segments)
-	if treeTime <= chainTime {
-		return RunCollective(exec, tree, Broadcast, msgBytes), "binomial"
-	}
-	return PipelinedBroadcast(exec, chain, msgBytes, segments), "pipelined"
 }

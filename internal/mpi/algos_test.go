@@ -15,61 +15,6 @@ func ringOrderN(n int) []int {
 	return out
 }
 
-func TestRingAllgatherTiming(t *testing.T) {
-	// Uniform α=0, β=1: n−1 synchronized rounds of one chunk each.
-	n := 8
-	net := NewAnalyticNet(uniformPerf(n, 0, 1))
-	el := RingAllgather(net, ringOrderN(n), 10)
-	want := float64(n-1) * 10
-	if math.Abs(el-want) > 1e-9 {
-		t.Errorf("ring allgather %v want %v", el, want)
-	}
-	if RingAllgather(NewAnalyticNet(uniformPerf(1, 0, 1)), []int{0}, 5) != 0 {
-		t.Error("single rank should be free")
-	}
-}
-
-func TestRecursiveDoublingAllgatherTiming(t *testing.T) {
-	// Uniform α=0, β=1, power-of-two ranks: rounds carry 1,2,4,... chunks,
-	// total (n−1) chunk-times — same bandwidth term as ring, fewer rounds.
-	n := 8
-	net := NewAnalyticNet(uniformPerf(n, 0, 1))
-	el := RecursiveDoublingAllgather(net, ringOrderN(n), 10)
-	want := float64(n-1) * 10 // 1+2+4 = 7 chunks
-	if math.Abs(el-want) > 1e-9 {
-		t.Errorf("recursive doubling %v want %v", el, want)
-	}
-}
-
-func TestRecursiveDoublingLatencyAdvantage(t *testing.T) {
-	// With latency-dominated messages, recursive doubling (log n rounds)
-	// beats the ring (n−1 rounds).
-	n := 16
-	alpha := 1.0
-	tiny := 1e-6
-	ring := RingAllgather(NewAnalyticNet(uniformPerf(n, alpha, 1e9)), ringOrderN(n), tiny)
-	rd := RecursiveDoublingAllgather(NewAnalyticNet(uniformPerf(n, alpha, 1e9)), ringOrderN(n), tiny)
-	if rd >= ring {
-		t.Errorf("recursive doubling %v should beat ring %v on latency", rd, ring)
-	}
-	if math.Abs(ring-float64(n-1)*alpha) > 1e-3 {
-		t.Errorf("ring latency rounds: %v", ring)
-	}
-	if math.Abs(rd-4*alpha) > 1e-3 {
-		t.Errorf("recursive doubling rounds: %v", rd)
-	}
-}
-
-func TestRecursiveDoublingFallback(t *testing.T) {
-	// Non-power-of-two falls back to ring.
-	n := 6
-	rd := RecursiveDoublingAllgather(NewAnalyticNet(uniformPerf(n, 0, 1)), ringOrderN(n), 10)
-	ring := RingAllgather(NewAnalyticNet(uniformPerf(n, 0, 1)), ringOrderN(n), 10)
-	if rd != ring {
-		t.Errorf("fallback mismatch: %v vs %v", rd, ring)
-	}
-}
-
 func TestRingAllreduceTiming(t *testing.T) {
 	// 2(n−1) rounds of total/n bytes each.
 	n := 4
@@ -94,53 +39,6 @@ func TestPairwiseAlltoallTiming(t *testing.T) {
 	}
 }
 
-func TestPipelinedBroadcastTiming(t *testing.T) {
-	// Chain of L=3 links, S=4 segments, α=0, β=1, msg 120 → segment 30:
-	// time = (S + L − 1)·30 = 180.
-	n := 4
-	net := NewAnalyticNet(uniformPerf(n, 0, 1))
-	el := PipelinedBroadcast(net, ringOrderN(n), 120, 4)
-	want := (4.0 + 3 - 1) * 30
-	if math.Abs(el-want) > 1e-9 {
-		t.Errorf("pipelined broadcast %v want %v", el, want)
-	}
-	if PipelinedBroadcast(NewAnalyticNet(uniformPerf(1, 0, 1)), []int{0}, 100, 4) != 0 {
-		t.Error("single rank")
-	}
-	if PipelinedBroadcast(NewAnalyticNet(uniformPerf(2, 0, 1)), []int{0, 1}, 0, 4) != 0 {
-		t.Error("empty message")
-	}
-	// segments < 1 is clamped to 1 (plain chain forwarding).
-	el1 := PipelinedBroadcast(NewAnalyticNet(uniformPerf(n, 0, 1)), ringOrderN(n), 120, 0)
-	if math.Abs(el1-3*120) > 1e-9 {
-		t.Errorf("unsegmented chain %v", el1)
-	}
-}
-
-func TestPipelinedBeatsBinomialForLargeMessages(t *testing.T) {
-	// Bandwidth-bound regime: pipelining approaches 1× the transfer time,
-	// the binomial tree needs log n of them.
-	n := 8
-	msg := 1e6
-	pm := uniformPerf(n, 1e-5, 1e6)
-	binom := RunCollective(NewAnalyticNet(pm), BinomialTree(n, 0), Broadcast, msg)
-	pipe := PipelinedBroadcast(NewAnalyticNet(pm), ringOrderN(n), msg, 32)
-	if pipe >= binom {
-		t.Errorf("pipelined %v should beat binomial %v for big messages", pipe, binom)
-	}
-}
-
-func TestBinomialBeatsPipelinedForSmallMessages(t *testing.T) {
-	n := 16
-	msg := 10.0
-	pm := uniformPerf(n, 0.1, 1e9)
-	binom := RunCollective(NewAnalyticNet(pm), BinomialTree(n, 0), Broadcast, msg)
-	pipe := PipelinedBroadcast(NewAnalyticNet(pm), ringOrderN(n), msg, 4)
-	if binom >= pipe {
-		t.Errorf("binomial %v should beat pipelined %v for tiny messages", binom, pipe)
-	}
-}
-
 func TestChainFromWeights(t *testing.T) {
 	pm := uniformPerf(4, 0, 1)
 	// Make 0->2 cheap, 2->3 cheap, 3->1 cheap.
@@ -159,22 +57,6 @@ func TestChainFromWeights(t *testing.T) {
 		seen[v] = true
 	}
 	mustPanic(t, func() { ChainFromWeights(w, 9) })
-}
-
-func TestAutoBroadcastSwitchesByMessageSize(t *testing.T) {
-	n := 8
-	pm := uniformPerf(n, 1e-2, 1e6)
-	w := pm.Weights(1 << 20)
-	estimate := func() Network { return NewAnalyticNet(pm) }
-
-	_, small := AutoBroadcast(estimate, NewAnalyticNet(pm), w, 0, 100, 16)
-	if small != "binomial" {
-		t.Errorf("small message picked %s", small)
-	}
-	_, large := AutoBroadcast(estimate, NewAnalyticNet(pm), w, 0, 64<<20, 16)
-	if large != "pipelined" {
-		t.Errorf("large message picked %s", large)
-	}
 }
 
 func TestRunRoundsEmptyRound(t *testing.T) {

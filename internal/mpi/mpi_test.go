@@ -221,16 +221,6 @@ func TestTopologyAwareTree(t *testing.T) {
 	}
 }
 
-func TestRingOrder(t *testing.T) {
-	r := RingOrder(4, 2)
-	want := []int{2, 3, 0, 1}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ring %v", r)
-		}
-	}
-}
-
 func TestBroadcastTimingUniform(t *testing.T) {
 	// Uniform α=0, β=1 network: binomial broadcast of m bytes over
 	// 2^k ranks takes exactly k·m.

@@ -250,13 +250,3 @@ func TopologyAwareTree(t *topo.Topology, hosts []int, root int) *Tree {
 	}
 	return tree
 }
-
-// RingOrder returns ranks in a ring starting at root — used by the ring
-// mapping baseline in the topology-mapping workload.
-func RingOrder(n, root int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = (root + i) % n
-	}
-	return out
-}

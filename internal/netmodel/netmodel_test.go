@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,7 +87,7 @@ func TestTPMatrixAppendAndViews(t *testing.T) {
 	if tp.Steps() != 2 {
 		t.Fatal("steps")
 	}
-	if !tp.Snapshot(1).ApproxEqual(s2, 0) {
+	if !Devectorize(tp.Matrix().Row(1), tp.N).ApproxEqual(s2, 0) {
 		t.Error("snapshot")
 	}
 	m := tp.Matrix()
@@ -127,73 +126,6 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	m := mat.FromRows([][]float64{{1.5, -2}, {3.25, 1e-9}})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.ApproxEqual(m, 0) {
-		t.Error("csv round trip")
-	}
-}
-
-func TestReadCSVBad(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("1,notanumber\n")); err == nil {
-		t.Error("bad csv should error")
-	}
-	m, err := ReadCSV(new(bytes.Buffer))
-	if err != nil || m.Rows() != 0 {
-		t.Error("empty csv")
-	}
-}
-
-func TestInjectNoiseStep(t *testing.T) {
-	tp := NewTPMatrix(2)
-	snap := mat.FromRows([][]float64{{0, 100}, {100, 0}})
-	tp.Append(0, snap)
-	orig := tp.Matrix()
-	rng := rand.New(rand.NewSource(1))
-	tp.InjectNoiseStep(rng, 50)
-	after := tp.Matrix()
-	if orig.ApproxEqual(after, 0) {
-		t.Error("noise should change matrix")
-	}
-	// Changes should be small multiplicative steps: within 1.01^50.
-	for i := 0; i < after.Rows(); i++ {
-		for j := 0; j < after.Cols(); j++ {
-			o, a := orig.At(i, j), after.At(i, j)
-			if o == 0 {
-				if a != 0 {
-					t.Error("zero cells should remain zero under multiplicative noise")
-				}
-				continue
-			}
-			ratio := a / o
-			if ratio < math.Pow(0.99, 60) || ratio > math.Pow(1.01, 60) {
-				t.Errorf("cell moved too far: ratio %v", ratio)
-			}
-		}
-	}
-	// No-op on empty.
-	NewTPMatrix(2).InjectNoiseStep(rng, 10)
-}
-
-func TestInjectSpikes(t *testing.T) {
-	tp := NewTPMatrix(2)
-	tp.Append(0, mat.FromRows([][]float64{{0, 10}, {10, 0}}))
-	rng := rand.New(rand.NewSource(2))
-	tp.InjectSpikes(rng, 1.0, 2.0) // every cell spiked
-	m := tp.Matrix()
-	if m.At(0, 1) <= 10 || m.At(0, 2) <= 10 {
-		t.Error("spikes should increase values")
-	}
 }
 
 // Property: vectorize/devectorize is lossless for arbitrary square sizes.

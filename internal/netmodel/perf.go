@@ -1,18 +1,13 @@
 // Package netmodel defines the network performance abstractions of the
 // paper (§III): the α-β link model, N×N performance matrices over a
-// virtual cluster, temporal performance matrices (TP-matrix) that stack
-// calibration snapshots as rows, and the noise-injection procedure used to
-// study the impact of Norm(N_E) (§V-D3).
+// virtual cluster, and temporal performance matrices (TP-matrix) that
+// stack calibration snapshots as rows.
 package netmodel
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
 	"sort"
-	"strconv"
 
 	"netconstant/internal/mat"
 )
@@ -275,11 +270,6 @@ func (tp *TPMatrix) Append(t float64, snapshot *mat.Dense) {
 // Steps returns the number of snapshots (rows).
 func (tp *TPMatrix) Steps() int { return len(tp.rows) }
 
-// Snapshot reconstructs the i-th snapshot as an N×N matrix.
-func (tp *TPMatrix) Snapshot(i int) *mat.Dense {
-	return Devectorize(tp.rows[i], tp.N)
-}
-
 // Matrix returns the steps×N² dense matrix view (copied) — the data matrix
 // A handed to RPCA.
 func (tp *TPMatrix) Matrix() *mat.Dense {
@@ -312,76 +302,4 @@ func (tp *TPMatrix) Clone() *TPMatrix {
 		out.rows = append(out.rows, append([]float64(nil), r...))
 	}
 	return out
-}
-
-// WriteCSV writes a snapshot matrix as CSV (one row per line).
-func WriteCSV(w io.Writer, m *mat.Dense) error {
-	cw := csv.NewWriter(w)
-	rec := make([]string, m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			rec[j] = strconv.FormatFloat(m.At(i, j), 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a dense matrix from CSV.
-func ReadCSV(r io.Reader) (*mat.Dense, error) {
-	recs, err := csv.NewReader(r).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return mat.NewDense(0, 0), nil
-	}
-	rows := make([][]float64, len(recs))
-	for i, rec := range recs {
-		rows[i] = make([]float64, len(rec))
-		for j, s := range rec {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("netmodel: bad CSV cell (%d,%d): %w", i, j, err)
-			}
-			rows[i][j] = v
-		}
-	}
-	return mat.FromRows(rows), nil
-}
-
-// InjectNoiseStep applies one batch of the paper's noise procedure to the
-// TP-matrix in place: each selected cell is increased or decreased by 1%
-// (§V-D3, "for each time of adding noise, we change the network
-// performance by 1%"). cells gives how many random cells to perturb.
-func (tp *TPMatrix) InjectNoiseStep(rng *rand.Rand, cells int) {
-	if len(tp.rows) == 0 {
-		return
-	}
-	width := tp.N * tp.N
-	for k := 0; k < cells; k++ {
-		i := rng.Intn(len(tp.rows))
-		j := rng.Intn(width)
-		if rng.Float64() < 0.5 {
-			tp.rows[i][j] *= 1.01
-		} else {
-			tp.rows[i][j] *= 0.99
-		}
-	}
-}
-
-// InjectSpikes adds sparse multiplicative spikes (factor amp, probability
-// density per cell) — a faster way to reach high Norm(N_E) targets than
-// repeated 1% steps, used by the Fig 10 sweep's upper range.
-func (tp *TPMatrix) InjectSpikes(rng *rand.Rand, density, amp float64) {
-	for _, row := range tp.rows {
-		for j := range row {
-			if rng.Float64() < density {
-				row[j] *= 1 + amp*rng.Float64()
-			}
-		}
-	}
 }

@@ -10,7 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -74,8 +74,9 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	qmu         sync.Mutex
-	quarantined map[string]string // tenant id → reason
+	qmu          sync.Mutex
+	quarantined  map[string]string // tenant id → reason
+	stateIgnored map[string]bool   // tenants whose last rebuild ignored an existing state file
 }
 
 var tenantIDPat = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
@@ -94,10 +95,11 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		baseCtx:     ctx,
-		memo:        cloud.NewCalibrationMemo(cfg.MemoCapacity),
-		quarantined: map[string]string{},
+		cfg:          cfg,
+		baseCtx:      ctx,
+		memo:         cloud.NewCalibrationMemo(cfg.MemoCapacity),
+		quarantined:  map[string]string{},
+		stateIgnored: map[string]bool{},
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard(s, cfg.QueueDepth))
@@ -185,12 +187,40 @@ func (s *Server) absent(id string) error {
 	return wrapf(errNotFound, "%s", id)
 }
 
+// noteRestore records the outcome of a rebuild's attempt to restore
+// the tenant's state file: err is restoreState's error. A missing file
+// is not ignored, only absent; any other error means the rebuild
+// replayed from create although a state file was there.
+func (s *Server) noteRestore(id string, err error) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.stateIgnored[id] = true
+	} else {
+		delete(s.stateIgnored, id)
+	}
+}
+
 // Quarantined returns the sorted quarantined tenant IDs.
 func (s *Server) Quarantined() []string {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	ids := make([]string, 0, len(s.quarantined))
-	for id := range s.quarantined {
+	return sortedIDs(s.quarantined)
+}
+
+// stateIgnoredIDs returns the sorted IDs of the tenants whose last
+// rebuild found a state file it could not use and so replayed from
+// create.
+func (s *Server) stateIgnoredIDs() []string {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return sortedIDs(s.stateIgnored)
+}
+
+// sortedIDs returns m's keys in order, never nil.
+func sortedIDs[V any](m map[string]V) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -506,12 +536,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{Status: "ok", Quarantined: s.Quarantined()}
+	resp := HealthResponse{Status: "ok", Quarantined: s.Quarantined(), StateIgnored: s.stateIgnoredIDs()}
 	if s.draining.Load() {
 		resp.Status = "draining"
-	}
-	if resp.Quarantined == nil {
-		resp.Quarantined = []string{}
 	}
 	for _, sh := range s.shards {
 		resp.Shards = append(resp.Shards, ShardHealth{

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"netconstant/internal/checkpoint"
@@ -338,6 +339,9 @@ func TestStateFileFallback(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s1, hs1 := newTestServer(t, ctx, dir, Config{})
+			if ig := stateIgnored(t, hs1.URL); len(ig) != 0 {
+				t.Fatalf("a directory without state files lists state_ignored %v", ig)
+			}
 			before := runTrace(t, hs1.URL, tenants)
 			hs1.Close()
 			if err := s1.Close(); err != nil {
@@ -350,6 +354,9 @@ func TestStateFileFallback(t *testing.T) {
 			defer hs2.Close()
 			if q := s2.Quarantined(); len(q) != 0 {
 				t.Fatalf("a bad state file quarantined %v", q)
+			}
+			if ig := stateIgnored(t, hs2.URL); !slices.Equal(ig, []string{"alpha"}) {
+				t.Fatalf("healthz state_ignored = %v, want [alpha]", ig)
 			}
 			if a := s2.shardFor("alpha").tenants["alpha"]; a.sealed != 0 {
 				t.Fatalf("alpha restored from a bad state file at sequence %d", a.sealed)
@@ -365,8 +372,46 @@ func TestStateFileFallback(t *testing.T) {
 			}
 			code, body := doReq(t, http.MethodPost, hs2.URL+"/v1/tenants/alpha/advance", `{"dt":1}`)
 			mustStatus(t, http.StatusOK, code, body)
+			hs2.Close()
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The drain sealed alpha afresh, and a missing state file is
+			// absent, not ignored: with beta's removed, the restart
+			// restores alpha, replays beta and lists nothing.
+			if err := os.Remove(filepath.Join(dir, "beta.ncstate")); err != nil {
+				t.Fatal(err)
+			}
+			s3, hs3 := newTestServer(t, ctx, dir, Config{})
+			defer s3.Close()
+			defer hs3.Close()
+			if ig := stateIgnored(t, hs3.URL); len(ig) != 0 {
+				t.Fatalf("a clean restart lists state_ignored %v", ig)
+			}
+			if a := s3.shardFor("alpha").tenants["alpha"]; a.sealed == 0 {
+				t.Fatal("alpha's resealed state file was not used")
+			}
+			if after := probeAll(t, hs3.URL, []string{"beta"}); after["beta"] != before["beta"] {
+				t.Fatalf("beta diverged after replay from create:\nbefore: %s\nafter:  %s", before["beta"], after["beta"])
+			}
 		})
 	}
+}
+
+// stateIgnored returns the /healthz state_ignored list.
+func stateIgnored(t *testing.T, base string) []string {
+	t.Helper()
+	code, body := doReq(t, http.MethodGet, base+"/healthz", "")
+	mustStatus(t, http.StatusOK, code, body)
+	var h HealthResponse
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.StateIgnored == nil {
+		t.Fatalf("healthz has no state_ignored list: %s", body)
+	}
+	return h.StateIgnored
 }
 
 // FuzzRestoreState feeds arbitrary bytes to a tenant's state file. Read

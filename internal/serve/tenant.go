@@ -254,6 +254,7 @@ func rebuildTenant(srv *Server, id string, store *checkpoint.Store) (*tenant, er
 		return nil, fmt.Errorf("serve: tenant %s create replay: %w", id, err)
 	}
 	base, err := t.restoreState(recs)
+	srv.noteRestore(id, err)
 	if err != nil {
 		base = 1
 		if t, err = newTenant(srv, id, *head.Cfg, store); err != nil {

@@ -197,6 +197,11 @@ type HealthResponse struct {
 	Status      string        `json:"status"` // "ok" or "draining"
 	Shards      []ShardHealth `json:"shards"`
 	Quarantined []string      `json:"quarantined"`
+	// StateIgnored lists the tenants whose last rebuild found a state
+	// file it could not use (damaged, foreign, newer, or over the caps)
+	// and replayed the whole journal instead: same answers, slower
+	// restart. A tenant without a state file is not listed.
+	StateIgnored []string `json:"state_ignored"`
 }
 
 // errorBody is the uniform error envelope.
